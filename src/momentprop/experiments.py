@@ -690,6 +690,6 @@ def run_benchmark(
         config={"batch": int(batch.shape[0]), "t_list": list(t_list),
                 "repeats": repeats, "seed": seed, "model": model.metadata.name},
         tables={"timings": rows, "ratios": ratios},
-        runtimes={"det": {"mean_s": det_s, "se_s": det_se, "repeats": repeats},
-                  "mp": {"mean_s": mp_s, "se_s": mp_se, "repeats": repeats}},
+        runtimes={"det": {"mean_s": det_s, "se_s": det_se, "repeats": n_det},
+                  "mp": {"mean_s": mp_s, "se_s": mp_se, "repeats": n_mp}},
     )

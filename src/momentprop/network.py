@@ -153,6 +153,18 @@ class ModelSpec:
     def output_shape(self) -> tuple[int, ...]:
         return self.layer_shapes[-1]
 
+    @cached_property
+    def det_prefix(self) -> int:
+        """Number of leading layers before the first dropout or softmax.
+
+        No variance exists before the first dropout, so propagation runs
+        these layers as deterministic ops and lifts their output once.
+        """
+        return next(
+            (i for i, l in enumerate(self.layers) if isinstance(l, (DropoutSpec, SoftmaxSpec))),
+            len(self.layers),
+        )
+
     @property
     def dropout_rates(self) -> tuple[float, ...]:
         return tuple(l.rate for l in self.layers if isinstance(l, DropoutSpec))
@@ -220,14 +232,20 @@ def _run_arrays(model: ModelSpec, xb, dropout_fn, upto=None, collect=None):
 
 
 def _run_mp(model: ModelSpec, xb, upto=None, collect=None):
-    """Lift the input to zero variance and fold the moment ops in order.
+    """Run the variance-free prefix deterministically, lift its output to
+    zero variance and fold the moment ops over the remaining layers.
 
     Returns a MomentTensor, or a plain probability array once a softmax has
     consumed the variance channel.
     """
-    out = MomentTensor(xb, np.zeros_like(xb))
-    stop = len(model.layers) if upto is None else upto
-    for layer in model.layers[:stop]:
+    stop = len(model.layers[:upto])
+    start = min(model.det_prefix, stop)
+    points = [] if collect is not None else None
+    h = _run_arrays(model, xb, None, upto=start, collect=points)  # the prefix has no dropout
+    if collect is not None:
+        collect.extend(MomentTensor._unchecked(p, np.zeros_like(p)) for p in points)
+    out = MomentTensor._unchecked(h, np.zeros_like(h))
+    for layer in model.layers[start:stop]:
         if isinstance(out, np.ndarray):
             raise ValueError("no layer may follow softmax in propagation mode")
         if isinstance(layer, DropoutSpec):

@@ -203,7 +203,7 @@ def _forward_cached(layers, params, x, masks):
             )
             cols, oh, ow = _im2col(h, kh, kw, layer.stride, pads)
             caches.append(("conv2d", (cols, h.shape, oh, ow, pads, layer)))
-            h = _conv_apply(cols, w.reshape(w.shape[0], -1), b, h.shape[0], oh, ow)
+            h = _conv_apply(cols, w.reshape(w.shape[0], -1), b, oh, ow)
         elif isinstance(layer, MaxPool2DSpec):
             win = _pool_windows(h, layer.size)
             idx = win.argmax(axis=-1)
@@ -225,11 +225,11 @@ def _col2im(dcols, x_shape, kh, kw, stride, pads, oh, ow):
     b, c, h, w = x_shape
     pt, pb, pl, pr = pads
     dxp = np.zeros((b, c, h + pt + pb, w + pl + pr))
-    dwin = dcols.reshape(b, oh, ow, c, kh, kw)
+    dwin = dcols.reshape(b, c, kh, kw, oh, ow)
     for ki in range(kh):
         for kj in range(kw):
             dxp[:, :, ki : ki + oh * stride : stride, kj : kj + ow * stride : stride] += (
-                dwin[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                dwin[:, :, ki, kj]
             )
     return dxp[:, :, pt : pt + h, pl : pl + w]
 
@@ -250,12 +250,14 @@ def _backward(layers, params, caches, grad):
             cols, x_shape, oh, ow, pads, layer = cache
             oc = params[i]["w"].shape[0]
             kh, kw = params[i]["w"].shape[2], params[i]["w"].shape[3]
-            dmat = grad.reshape(grad.shape[0], oc, oh * ow).transpose(0, 2, 1)
-            dk = np.tensordot(dmat, cols, axes=([0, 1], [0, 1]))
+            dmat = grad.reshape(grad.shape[0], oc, oh * ow)
+            # (OC, B*L) @ (B*L, K): tensordot copies the patches into that
+            # operand; one GEMM over the whole batch keeps the summation order
+            dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
             grads[i]["w"] = dk.reshape(params[i]["w"].shape)
             grads[i]["b"] = grad.sum(axis=(0, 2, 3))
             kmat = params[i]["w"].reshape(oc, -1)
-            dcols = dmat @ kmat
+            dcols = kmat.T @ dmat
             grad = _col2im(dcols, x_shape, kh, kw, layer.stride, pads, oh, ow)
         elif kind == "maxpool2d":
             idx, x_shape, n = cache
@@ -441,50 +443,53 @@ def train(model: ModelSpec, data: Dataset, cfg: TrainConfig) -> tuple[ModelSpec,
     started = time.perf_counter()
 
     n = len(x_train)
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            sel = perm[start : start + cfg.batch_size]
-            xb, yb = x_train[sel], y_train[sel]
-            masks = _draw_masks(layers, params, xb.shape, rng)
-            out, caches = _forward_cached(layers, params, xb, masks)
-            loss, grad = loss_fn(out, yb)
-            if not np.isfinite(loss):
+    # A diverging run overflows before its loss turns non-finite; keep numpy
+    # quiet so the divergence surfaces only as TrainingDivergedError.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                sel = perm[start : start + cfg.batch_size]
+                xb, yb = x_train[sel], y_train[sel]
+                masks = _draw_masks(layers, params, xb.shape, rng)
+                out, caches = _forward_cached(layers, params, xb, masks)
+                loss, grad = loss_fn(out, yb)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite training loss {loss!r} at epoch {epoch}"
+                    )
+                grads = _backward(layers, params, caches, grad)
+                opt.step(params, grads, lr)
+                epoch_loss += loss * len(sel)
+            train_curve.append(epoch_loss / n)
+            try:
+                val = _val_loss(model, params, cfg, x_val, y_val)
+            except (ValueError, FloatingPointError) as exc:
+                # exploded weights surface as non-finite parameters or variances
                 raise TrainingDivergedError(
-                    f"non-finite training loss {loss!r} at epoch {epoch}"
-                )
-            grads = _backward(layers, params, caches, grad)
-            opt.step(params, grads, lr)
-            epoch_loss += loss * len(sel)
-        train_curve.append(epoch_loss / n)
-        try:
-            val = _val_loss(model, params, cfg, x_val, y_val)
-        except (ValueError, FloatingPointError) as exc:
-            # exploded weights surface as non-finite parameters or variances
-            raise TrainingDivergedError(
-                f"validation forward failed at epoch {epoch}: {exc}"
-            ) from exc
-        if not np.isfinite(val):
-            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
-        val_curve.append(val)
-        lr_curve.append(lr)
-        if val < best_val:
-            best_val = val
-            best_epoch = epoch
-            best_params = [{k: v.copy() for k, v in p.items()} for p in params]
-            wait_lr = wait_es = 0
-        else:
-            wait_lr += 1
-            wait_es += 1
-            if cfg.lr_reduction is not None and wait_lr >= cfg.lr_reduction.patience:
-                lr = max(lr * cfg.lr_reduction.factor, cfg.lr_reduction.min_lr)
-                wait_lr = 0
-            if cfg.early_stopping is not None and wait_es >= cfg.early_stopping.patience:
-                stopped_early = True
-                break
+                    f"validation forward failed at epoch {epoch}: {exc}"
+                ) from exc
+            if not np.isfinite(val):
+                raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
+            val_curve.append(val)
+            lr_curve.append(lr)
+            if val < best_val:
+                best_val = val
+                best_epoch = epoch
+                best_params = [{k: v.copy() for k, v in p.items()} for p in params]
+                wait_lr = wait_es = 0
+            else:
+                wait_lr += 1
+                wait_es += 1
+                if cfg.lr_reduction is not None and wait_lr >= cfg.lr_reduction.patience:
+                    lr = max(lr * cfg.lr_reduction.factor, cfg.lr_reduction.min_lr)
+                    wait_lr = 0
+                if cfg.early_stopping is not None and wait_es >= cfg.early_stopping.patience:
+                    stopped_early = True
+                    break
 
-    trained = _rebuild_model(model, best_params, cfg)
+        trained = _rebuild_model(model, best_params, cfg)
     report = TrainReport(
         train_loss=train_curve,
         val_loss=val_curve,

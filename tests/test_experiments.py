@@ -139,3 +139,7 @@ class TestBenchmark:
         # sampling cost grows with T
         assert ratios[6]["mc_over_det"] > ratios[2]["mc_over_det"]
         assert all(r["repeats"] >= 3 for r in report.tables["timings"])
+        # runtimes record the calls actually timed, as the timings rows do
+        rows = {r["mode"]: r for r in report.tables["timings"]}
+        for mode in ("det", "mp"):
+            assert report.runtimes[mode]["repeats"] == rows[mode]["repeats"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentprop as mp
+from momentprop import layers
 from momentprop.layers import (
     EPS_VAR,
     _max_pair_arrays,
@@ -128,18 +129,29 @@ class TestDense:
 
 
 def unrolled_dense_equivalent(spec: mp.Conv2DSpec, in_shape):
-    """Build the dense weight matrix that reproduces the convolution."""
+    """Build the dense layer that computes the convolution, entry by entry
+    from its definition (output (o, y, x) sums kernel[o, :, i, j] times input
+    (:, y*stride + i - top pad, x*stride + j - left pad))."""
     c, h, w = in_shape
-    out_dim = int(np.prod(mp.conv2d_det(np.zeros(in_shape), spec).shape))
-    weights = np.zeros((c * h * w, out_dim))
-    for j in range(c * h * w):
-        basis = np.zeros(c * h * w)
-        basis[j] = 1.0
-        col = mp.conv2d_det(basis.reshape(in_shape), spec)
-        bias_part = mp.conv2d_det(np.zeros(in_shape), spec)
-        weights[j] = (col - bias_part).ravel()
-    bias = mp.conv2d_det(np.zeros(in_shape), spec).ravel()
-    return mp.DenseSpec(weights, bias)
+    kh, kw = spec.kernel_size
+    s = spec.stride
+    if spec.padding == "same":
+        oh, ow = -(-h // s), -(-w // s)
+        top = max((oh - 1) * s + kh - h, 0) // 2
+        left = max((ow - 1) * s + kw - w, 0) // 2
+    else:
+        oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+        top = left = 0
+    weights = np.zeros((c, h, w, spec.out_channels, oh, ow))
+    for y in range(oh):
+        for x in range(ow):
+            for i in range(kh):
+                for j in range(kw):
+                    yy, xx = y * s + i - top, x * s + j - left
+                    if 0 <= yy < h and 0 <= xx < w:
+                        weights[:, yy, xx, :, y, x] = spec.kernel[:, :, i, j].T
+    bias = np.repeat(spec.bias, oh * ow)
+    return mp.DenseSpec(weights.reshape(c * h * w, -1), bias), (spec.out_channels, oh, ow)
 
 
 class TestConv2d:
@@ -160,17 +172,26 @@ class TestConv2d:
         out = mp.conv2d_mp(MomentTensor.from_point(rng.normal(size=(1, 5, 5))), spec)
         assert np.array_equal(out.variance, np.zeros_like(out.variance))
 
-    def test_unrolled_dense_equivalence(self):
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+    @pytest.mark.parametrize("size", [(6, 6), (7, 9)], ids=["even", "odd"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_unrolled_dense_equivalence(self, padding, stride, size, batched):
         rng = np.random.default_rng(6)
-        spec = mp.Conv2DSpec(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3), padding="same")
-        in_shape = (2, 6, 6)
-        dense = unrolled_dense_equivalent(spec, in_shape)
-        E = rng.normal(size=in_shape)
-        V = rng.uniform(0.05, 1.5, in_shape)
+        spec = mp.Conv2DSpec(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3),
+                             padding=padding, stride=stride)
+        in_shape = (2,) + size
+        dense, out_shape = unrolled_dense_equivalent(spec, in_shape)
+        lead = (4,) if batched else ()
+        E = rng.normal(size=lead + in_shape)
+        V = rng.uniform(0.05, 1.5, lead + in_shape)
         conv_out = mp.conv2d_mp(MomentTensor(E, V), spec)
-        dense_out = mp.dense_mp(MomentTensor(E.ravel(), V.ravel()), dense)
-        assert np.allclose(conv_out.expectation.ravel(), dense_out.expectation, atol=1e-10)
-        assert np.allclose(conv_out.variance.ravel(), dense_out.variance, atol=1e-10)
+        flat = lead + (-1,)
+        dense_out = mp.dense_mp(MomentTensor(E.reshape(flat), V.reshape(flat)), dense)
+        assert conv_out.shape == lead + out_shape
+        assert np.allclose(conv_out.expectation.reshape(flat), dense_out.expectation, atol=1e-10)
+        assert np.allclose(conv_out.variance.reshape(flat), dense_out.variance, atol=1e-10)
+        assert np.array_equal(mp.conv2d_det(E, spec), conv_out.expectation)
 
     def test_valid_and_strided_shapes(self):
         rng = np.random.default_rng(7)
@@ -307,6 +328,87 @@ class TestMaxPool2d:
     def test_too_small_input(self):
         with pytest.raises(ValueError):
             mp.maxpool2d_det(np.zeros((1, 1, 4)), mp.MaxPool2DSpec(2))
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation
+
+
+def mixed_moments(shape, seed):
+    """Moments mixing ordinary Gaussians with entries below EPS_VAR, means far
+    below zero (relu_mp rounds their variance negative and clamps it) and
+    large means with tiny variances (the pair fold clamps those).  The first
+    three quarters of the entries are exactly deterministic, so that whole
+    blocks take the all-deterministic branches."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(0.0, 2.0, shape)
+    v = rng.uniform(0.05, 2.0, shape)
+    regime = rng.integers(0, 4, shape)
+    tiny, negative, large = regime == 1, regime == 2, regime == 3
+    v[tiny] = rng.uniform(0.0, EPS_VAR, tiny.sum())
+    e[negative] = rng.uniform(-40.0, -3.0, negative.sum())
+    e[large] = rng.uniform(0.0, 1e6, large.sum())
+    v[large] = rng.uniform(1e-9, 1e-6, large.sum())
+    v.reshape(-1)[: 3 * v.size // 4] = 0.0
+    return MomentTensor(e, v)
+
+
+class TestBlockedKernels:
+    """relu_mp, dropout_mp and maxpool2d_mp run in BLOCK_SIZE blocks; on
+    arrays spanning several blocks the result and the clamp count must be
+    bitwise those of a single-block evaluation."""
+
+    @staticmethod
+    def blocked_and_whole(monkeypatch, op):
+        reset_variance_clamp_count()
+        blocked = op()
+        blocked_clamps = variance_clamp_count()
+        monkeypatch.setattr(layers, "BLOCK_SIZE", 10**9)
+        reset_variance_clamp_count()
+        whole = op()
+        whole_clamps = variance_clamp_count()
+        reset_variance_clamp_count()
+        return blocked, blocked_clamps, whole, whole_clamps
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert a.shape == b.shape
+        assert a.expectation.tobytes() == b.expectation.tobytes()
+        assert a.variance.tobytes() == b.variance.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 37])
+    def test_relu(self, monkeypatch, block):
+        mt = mixed_moments((3, 5, 37, 41), seed=40)
+        assert mt.expectation.size > 2 * layers.BLOCK_SIZE
+        assert (mt.variance < EPS_VAR).any()
+        if block is not None:
+            monkeypatch.setattr(layers, "BLOCK_SIZE", block)
+        blocked, n_blocked, whole, n_whole = self.blocked_and_whole(
+            monkeypatch, lambda: mp.relu_mp(mt)
+        )
+        self.assert_bitwise(blocked, whole)
+        assert n_whole > 0 and n_blocked == n_whole
+
+    @pytest.mark.parametrize("block", [None, 37])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_maxpool(self, monkeypatch, size, block):
+        mt = mixed_moments((3, 8, 67, 65), seed=41)  # ragged for both sizes
+        spec = mp.MaxPool2DSpec(size)
+        assert 3 * 8 * (67 // size) * (65 // size) > layers.BLOCK_SIZE
+        if block is not None:
+            monkeypatch.setattr(layers, "BLOCK_SIZE", block)
+        blocked, n_blocked, whole, n_whole = self.blocked_and_whole(
+            monkeypatch, lambda: mp.maxpool2d_mp(mt, spec)
+        )
+        self.assert_bitwise(blocked, whole)
+        assert n_whole > 0 and n_blocked == n_whole
+
+    def test_dropout(self, monkeypatch):
+        mt = mixed_moments((5, 3, 31, 29), seed=42)
+        blocked, _, whole, _ = self.blocked_and_whole(
+            monkeypatch, lambda: mp.dropout_mp(mt, mp.DropoutSpec(0.3))
+        )
+        self.assert_bitwise(blocked, whole)
 
 
 # ---------------------------------------------------------------------------

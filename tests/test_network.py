@@ -133,6 +133,54 @@ class TestForwardModes:
         assert (devs[10000] < devs[1000]).sum() >= 15
 
 
+class TestVarianceFreePrefix:
+    """Layers before the first dropout run as deterministic ops in mp."""
+
+    @pytest.mark.parametrize("name", ["reference-cnn", "toy-mlp"])
+    def test_prefix_entries_equal_det(self, name):
+        from momentprop.experiments import reference_cnn
+
+        if name == "reference-cnn":
+            model, prefix = reference_cnn(seed=1), 3  # conv, relu, pool
+            x = np.random.default_rng(3).standard_normal(model.input_shape)
+        else:
+            model = mp.mlp_regression(1, hidden=(256, 256, 256), dropout_rate=0.3, seed=1)
+            prefix, x = 2, np.array([0.7])  # dense, relu
+        assert model.det_prefix == prefix
+        td, tm = trace_det(model, x), trace_mp(model, x)
+        assert len(tm) == len(model.layers)
+        for k in range(prefix):
+            assert isinstance(tm[k], MomentTensor)
+            assert np.array_equal(tm[k].expectation, td[k])
+            assert np.array_equal(tm[k].variance, np.zeros_like(td[k]))
+            upto = mp.forward_mp(model, x, upto=k + 1)
+            assert np.array_equal(upto.expectation, td[k])
+            assert np.array_equal(upto.variance, tm[k].variance)
+        # the first dropout receives the prefix output lifted to zero variance
+        first = mp.dropout_mp(MomentTensor.from_point(td[prefix - 1]), model.layers[prefix])
+        assert np.array_equal(tm[prefix].expectation, first.expectation)
+        assert np.array_equal(tm[prefix].variance, first.variance)
+        assert np.any(tm[prefix].variance > 0.0)
+
+    def test_model_starting_with_dropout(self):
+        rng = np.random.default_rng(4)
+        model = mp.ModelSpec(
+            layers=(mp.DropoutSpec(0.25), mp.DenseSpec(rng.normal(size=(3, 4)), np.zeros(4)),
+                    mp.ReluSpec(), mp.DenseSpec(rng.normal(size=(4, 1)), np.zeros(1))),
+            input_shape=(3,), task="regression", tau=1.0,
+        )
+        assert model.det_prefix == 0
+        x = rng.normal(size=3)
+        tm = trace_mp(model, x)
+        first = mp.dropout_mp(MomentTensor.from_point(x), model.layers[0])
+        assert np.array_equal(tm[0].expectation, first.expectation)
+        assert np.array_equal(tm[0].variance, first.variance)
+        out = mp.forward_mp(model, x)
+        assert np.array_equal(out.expectation, tm[-1].expectation)
+        assert np.array_equal(out.variance, tm[-1].variance)
+        assert np.array_equal(mp.forward_mp(model, x, upto=0).expectation, x)
+
+
 class TestPredict:
     def test_regression_modes(self):
         model = small_regressor()

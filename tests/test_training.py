@@ -126,6 +126,27 @@ class TestGradients:
         y = rng.normal(size=4)
         self.check_model(model, x, y, "mse", seed=5)
 
+    def test_stacked_convs(self):
+        # the first conv's gradients pass back through the second conv's
+        # input gradient; its non-square kernel and stride pin the patch order
+        rng = np.random.default_rng(6)
+        model = mp.ModelSpec(
+            layers=(
+                mp.Conv2DSpec(rng.normal(0, 0.4, (3, 2, 3, 3)), rng.normal(0, 0.1, 3), padding="same"),
+                mp.ReluSpec(),
+                mp.Conv2DSpec(rng.normal(0, 0.4, (2, 3, 2, 3)), rng.normal(0, 0.1, 2),
+                              padding="valid", stride=2),
+                mp.ReluSpec(),
+                mp.FlattenSpec(),
+                mp.DenseSpec(rng.normal(0, 0.4, (12, 3)), np.zeros(3)),
+                mp.SoftmaxSpec(),
+            ),
+            input_shape=(2, 7, 6), task="classification",
+        )
+        x = rng.normal(size=(3, 2, 7, 6))
+        y = rng.integers(0, 3, 3)
+        self.check_model(model, x, y, "categorical_nll", seed=6)
+
 
 class TestTrain:
     def test_recovers_linear_fit(self):
