@@ -504,18 +504,6 @@ def maxpool_pair(a: GaussianScalar, b: GaussianScalar) -> GaussianScalar:
     return GaussianScalar(float(mean[0]), float(var[0]))
 
 
-def _pool_windows(x, n):
-    """(B, C, H, W) -> (B, C, h, w, n*n) with row-major ordering inside each
-    window; trailing rows/columns that do not fill a window are cropped."""
-    b, c, h, w = x.shape
-    hh, ww = (h // n) * n, (w // n) * n
-    if hh == 0 or ww == 0:
-        raise ValueError(f"spatial dims {h}x{w} too small for {n}x{n} pooling")
-    x = x[:, :, :hh, :ww]
-    x = x.reshape(b, c, hh // n, n, ww // n, n).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(x.reshape(b, c, hh // n, ww // n, n * n))
-
-
 def _pool_view(x, n):
     """Copy-free window view (B, C, h, w, n, n); crops ragged edges."""
     b, c, h, w = x.shape

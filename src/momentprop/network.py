@@ -476,7 +476,32 @@ def _layer_tensors(layer: LayerSpec) -> list[np.ndarray]:
     return []
 
 
+_ENTRY_KEYS = {
+    "dropout": ("rate",),
+    "dense": ("in_dim", "out_dim"),
+    "conv2d": ("out_channels", "in_channels", "kernel_size", "padding", "stride"),
+    "maxpool2d": ("size",),
+    "relu": (), "flatten": (), "softmax": (),
+}
+
+
+def _check_entry(entry) -> None:
+    """Reject an entry without a known kind, its keys or positive integer sizes."""
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if not isinstance(kind, str) or kind not in _ENTRY_KEYS:
+        raise MalformedModelError(f"layer entry {entry!r} has no known kind")
+    if any(k not in entry for k in _ENTRY_KEYS[kind]):
+        raise MalformedModelError(f"{kind} layer entry needs {', '.join(_ENTRY_KEYS[kind])}")
+    sizes = [entry[k] for k in _ENTRY_KEYS[kind] if k not in ("rate", "padding", "kernel_size")]
+    if kind == "conv2d":
+        kernel = entry["kernel_size"]
+        sizes += kernel if isinstance(kernel, list) and len(kernel) == 2 else [kernel]
+    if not all(type(d) is int and d > 0 for d in sizes):
+        raise MalformedModelError(f"{kind} layer entry has a size that is not a positive integer")
+
+
 def _tensor_shapes(entry: dict) -> list[tuple[int, ...]]:
+    _check_entry(entry)
     kind = entry["kind"]
     if kind == "dense":
         return [(entry["in_dim"], entry["out_dim"]), (entry["out_dim"],)]
@@ -508,9 +533,7 @@ def _layer_from_entry(entry: dict, tensors: list[np.ndarray]) -> LayerSpec:
         return ReluSpec()
     if kind == "flatten":
         return FlattenSpec()
-    if kind == "softmax":
-        return SoftmaxSpec()
-    raise MalformedModelError(f"unknown layer kind {kind!r} in manifest")
+    return SoftmaxSpec()  # the last kind _check_entry admits
 
 
 def save_model(model: ModelSpec, path) -> None:
@@ -557,7 +580,7 @@ def load_model(path) -> ModelSpec:
         manifest = json.loads(body[:manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedModelError(f"manifest is not valid JSON: {exc}") from exc
-    entries = manifest.get("layers")
+    entries = manifest.get("layers") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise MalformedModelError("manifest has no layer list")
     shapes = [_tensor_shapes(e) for e in entries]
@@ -569,18 +592,18 @@ def load_model(path) -> ModelSpec:
         )
     layers = []
     offset = 0
-    for entry, per_layer in zip(entries, shapes):
-        tensors = []
-        for shape in per_layer:
-            count = int(np.prod(shape))
-            tensors.append(
-                np.frombuffer(blobs, dtype="<f4", count=count, offset=offset)
-                .reshape(shape)
-                .astype(np.float64)
-            )
-            offset += count * 4
-        layers.append(_layer_from_entry(entry, tensors))
     try:
+        for entry, per_layer in zip(entries, shapes):
+            tensors = []
+            for shape in per_layer:
+                count = int(np.prod(shape))
+                tensors.append(
+                    np.frombuffer(blobs, dtype="<f4", count=count, offset=offset)
+                    .reshape(shape)
+                    .astype(np.float64)
+                )
+                offset += count * 4
+            layers.append(_layer_from_entry(entry, tensors))
         return ModelSpec(
             layers=tuple(layers),
             input_shape=tuple(manifest["input_shape"]),
@@ -588,7 +611,7 @@ def load_model(path) -> ModelSpec:
             tau=manifest.get("tau"),
             metadata=ModelMeta.from_dict(manifest.get("metadata", {})),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise MalformedModelError(f"manifest describes an invalid model: {exc}") from exc
 
 

@@ -27,7 +27,7 @@ from .layers import (
     _conv_apply,
     _conv_geometry,
     _im2col,
-    _pool_windows,
+    _pool_view,
 )
 from .metrics import regression_nll_mc, regression_nll_mp
 from .network import (
@@ -205,10 +205,16 @@ def _forward_cached(layers, params, x, masks):
             caches.append(("conv2d", (cols, h.shape, oh, ow, pads, layer)))
             h = _conv_apply(cols, w.reshape(w.shape[0], -1), b, oh, ow)
         elif isinstance(layer, MaxPool2DSpec):
-            win = _pool_windows(h, layer.size)
-            idx = win.argmax(axis=-1)
-            caches.append(("maxpool2d", (idx, h.shape, layer.size)))
-            h = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+            # running max over the window offsets; idx keeps the first to reach it
+            n, win = layer.size, _pool_view(h, layer.size)
+            out = win[:, :, :, 0, :, 0].copy()
+            idx = np.zeros(out.shape, dtype=np.min_scalar_type(n * n - 1))
+            for k in range(1, n * n):
+                cand = win[:, :, :, k // n, :, k % n]
+                np.copyto(idx, k, where=cand > out)
+                np.maximum(out, cand, out=out)
+            caches.append(("maxpool2d", (idx, h.shape, n)))
+            h = out
         elif isinstance(layer, ReluSpec):
             pos = h > 0.0
             caches.append(("relu", pos))
@@ -235,9 +241,10 @@ def _col2im(dcols, x_shape, kh, kw, stride, pads, oh, ow):
 
 
 def _backward(layers, params, caches, grad):
-    """Reverse pass; returns per-layer parameter gradients."""
+    """Reverse pass down to the lowest layer with parameters; returns their gradients."""
     grads = [dict() for _ in layers]
-    for i in range(len(layers) - 1, -1, -1):
+    lowest = next((i for i, p in enumerate(params) if p), len(layers))
+    for i in range(len(layers) - 1, lowest - 1, -1):
         kind, cache = caches[i]
         if kind == "dropout":
             grad = grad * cache
@@ -245,7 +252,8 @@ def _backward(layers, params, caches, grad):
             x = cache
             grads[i]["w"] = x.T @ grad
             grads[i]["b"] = grad.sum(axis=0)
-            grad = grad @ params[i]["w"].T
+            if i > lowest:
+                grad = grad @ params[i]["w"].T
         elif kind == "conv2d":
             cols, x_shape, oh, ow, pads, layer = cache
             oc = params[i]["w"].shape[0]
@@ -256,26 +264,18 @@ def _backward(layers, params, caches, grad):
             dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
             grads[i]["w"] = dk.reshape(params[i]["w"].shape)
             grads[i]["b"] = grad.sum(axis=(0, 2, 3))
-            kmat = params[i]["w"].reshape(oc, -1)
-            dcols = kmat.T @ dmat
-            grad = _col2im(dcols, x_shape, kh, kw, layer.stride, pads, oh, ow)
+            if i > lowest:
+                dcols = params[i]["w"].reshape(oc, -1).T @ dmat
+                grad = _col2im(dcols, x_shape, kh, kw, layer.stride, pads, oh, ow)
         elif kind == "maxpool2d":
+            # each gradient goes to its window's winning offset; cropped rows
+            # and columns stay zero
             idx, x_shape, n = cache
-            b, c, h, w = x_shape
-            hh, ww = (h // n) * n, (w // n) * n
-            dwin = np.zeros(idx.shape + (n * n,))
-            np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
-            dx_core = (
-                dwin.reshape(b, c, hh // n, ww // n, n, n)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(b, c, hh, ww)
-            )
-            if hh != h or ww != w:
-                dx = np.zeros(x_shape)
-                dx[:, :, :hh, :ww] = dx_core
-                grad = dx
-            else:
-                grad = dx_core
+            dx = np.zeros(x_shape)
+            dwin = _pool_view(dx, n)
+            for k in range(n * n):
+                np.copyto(dwin[:, :, :, k // n, :, k % n], grad, where=idx == k)
+            grad = dx
         elif kind == "relu":
             grad = grad * cache
         elif kind == "flatten":
@@ -308,29 +308,14 @@ def _loss_fn(kind):
     return _mse_loss_grad if kind == "mse" else _categorical_nll_grad
 
 
-def _draw_masks(layers, params, x_shape, rng):
-    """Dropout masks for one minibatch, keyed by layer index.
-
-    Shapes are resolved by a cheap dry-run of the activations' shapes.
-    """
-    masks = {}
-    shape = x_shape
-    for i, layer in enumerate(layers):
-        if isinstance(layer, DropoutSpec):
-            masks[i] = rng.random(shape) >= layer.rate
-        elif isinstance(layer, DenseSpec):
-            shape = shape[:-1] + (params[i]["w"].shape[1],)
-        elif isinstance(layer, Conv2DSpec):
-            w = params[i]["w"]
-            oh, ow, _ = _conv_geometry(
-                shape[2], shape[3], w.shape[2], w.shape[3], layer.stride, layer.padding
-            )
-            shape = (shape[0], w.shape[0], oh, ow)
-        elif isinstance(layer, MaxPool2DSpec):
-            shape = (shape[0], shape[1], shape[2] // layer.size, shape[3] // layer.size)
-        elif isinstance(layer, FlattenSpec):
-            shape = (shape[0], int(np.prod(shape[1:])))
-    return masks
+def _draw_masks(model: ModelSpec, batch: int, rng):
+    """Dropout masks for one minibatch, keyed by layer index."""
+    shapes = (model.input_shape,) + model.layer_shapes
+    return {
+        i: rng.random((batch,) + shapes[i]) >= layer.rate
+        for i, layer in enumerate(_train_layers(model))
+        if isinstance(layer, DropoutSpec)
+    }
 
 
 def loss_with_params(model: ModelSpec, params, x, y, loss_kind: str, masks) -> float:
@@ -350,8 +335,8 @@ def grads_with_params(model: ModelSpec, params, x, y, loss_kind: str, masks):
 
 
 def draw_masks_for(model: ModelSpec, params, x_shape, seed: int = 0):
-    layers = _train_layers(model)
-    return _draw_masks(layers, params, x_shape, np.random.default_rng(seed))
+    """Dropout masks for a batch of shape x_shape (params is not read)."""
+    return _draw_masks(model, x_shape[0], np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +437,7 @@ def train(model: ModelSpec, data: Dataset, cfg: TrainConfig) -> tuple[ModelSpec,
             for start in range(0, n, cfg.batch_size):
                 sel = perm[start : start + cfg.batch_size]
                 xb, yb = x_train[sel], y_train[sel]
-                masks = _draw_masks(layers, params, xb.shape, rng)
+                masks = _draw_masks(model, len(xb), rng)
                 out, caches = _forward_cached(layers, params, xb, masks)
                 loss, grad = loss_fn(out, yb)
                 if not np.isfinite(loss):

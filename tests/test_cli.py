@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ class TestPredictCommand:
         np.save(xs, np.zeros((1, 1)))
         result = runner.invoke(cli, ["predict", str(bad), "--input", str(xs)])
         assert result.exit_code == 3
+
+    def test_manifest_entry_without_in_dim_is_data_error(self, runner, trained_model_path,
+                                                          tmp_path):
+        # a well-formed file whose first dense entry lost its in_dim
+        raw = trained_model_path.read_bytes()
+        old_len = int(np.frombuffer(raw, "<u8", 1, 12)[0])
+        manifest = json.loads(raw[20 : 20 + old_len])
+        del manifest["layers"][0]["in_dim"]
+        mbytes = json.dumps(manifest).encode()
+        body = raw[:12] + np.uint64(len(mbytes)).tobytes() + mbytes + raw[20 + old_len : -4]
+        bad = tmp_path / "bad.mpmdl"
+        bad.write_bytes(body + np.uint32(zlib.crc32(body) & 0xFFFFFFFF).tobytes())
+        xs = tmp_path / "x.npy"
+        np.save(xs, np.zeros((1, 1)))
+        result = runner.invoke(cli, ["predict", str(bad), "--input", str(xs)])
+        assert result.exit_code == 3
+        assert "in_dim" in result.output and "Traceback" not in result.output
 
 
 class TestExperimentCommands:

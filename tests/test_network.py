@@ -276,3 +276,76 @@ class TestSerialization:
         path.write_bytes(fixed)
         with pytest.raises(MalformedModelError):
             mp.load_model(path)
+
+
+def read_manifest(path):
+    raw = path.read_bytes()
+    return json.loads(raw[20 : 20 + int(np.frombuffer(raw, "<u8", 1, 12)[0])])
+
+
+def write_manifest(path, manifest):
+    """Put manifest in place of the model file's own, keeping the weight
+    bytes and fixing the checksum."""
+    raw = path.read_bytes()
+    old_len = int(np.frombuffer(raw, "<u8", 1, 12)[0])
+    mbytes = json.dumps(manifest, separators=(",", ":")).encode()
+    body = raw[:12] + np.uint64(len(mbytes)).tobytes() + mbytes + raw[20 + old_len : -4]
+    path.write_bytes(body + np.uint32(zlib.crc32(body) & 0xFFFFFFFF).tobytes())
+
+
+def entry_of(manifest, kind):
+    return next(e for e in manifest["layers"] if e.get("kind") == kind)
+
+
+class TestManifestValidation:
+    """Hostile manifests fail load_model with MalformedModelError."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: entry_of(m, "dense").pop("in_dim"), "needs in_dim"),
+            (lambda m: entry_of(m, "relu").pop("kind"), "no known kind"),
+            (lambda m: m["layers"].__setitem__(1, ["relu"]), "no known kind"),
+            (lambda m: m["layers"].__setitem__(1, "relu"), "no known kind"),
+            (lambda m: entry_of(m, "relu").update(kind=["relu"]), "no known kind"),
+            (lambda m: entry_of(m, "relu").update(kind="gelu"), "no known kind"),
+            (lambda m: entry_of(m, "dense").update(in_dim=-64), "positive integer"),
+            (lambda m: entry_of(m, "conv2d").update(out_channels=-4), "positive integer"),
+            # declares as many weight bytes as [3, 3] does
+            (lambda m: entry_of(m, "conv2d").update(kernel_size=[-3, -3]), "positive integer"),
+            (lambda m: entry_of(m, "conv2d").update(kernel_size=[9]), "positive integer"),
+            (lambda m: entry_of(m, "conv2d").update(stride=0), "positive integer"),
+            (lambda m: entry_of(m, "conv2d").update(stride=True), "positive integer"),
+            (lambda m: entry_of(m, "maxpool2d").update(size=2.5), "positive integer"),
+            (lambda m: entry_of(m, "conv2d").pop("padding"), "needs"),
+            (lambda m: entry_of(m, "conv2d").update(padding="full"), "invalid model"),
+            (lambda m: entry_of(m, "dropout").update(rate="high"), "invalid model"),
+            (lambda m: entry_of(m, "dropout").update(rate=1.5), "invalid model"),
+            (lambda m: entry_of(m, "maxpool2d").update(size=1), "invalid model"),
+            (lambda m: m.update(layers={"0": {"kind": "relu"}}), "no layer list"),
+            (lambda m: m.update(metadata=["seed", 1]), "invalid model"),
+        ],
+    )
+    def test_malformed_entry(self, tmp_path, edit, message):
+        path = tmp_path / "m.mpmdl"
+        mp.save_model(small_classifier(), path)
+        manifest = read_manifest(path)
+        edit(manifest)
+        write_manifest(path, manifest)
+        with pytest.raises(MalformedModelError, match=message):
+            mp.load_model(path)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path = tmp_path / "m.mpmdl"
+        mp.save_model(small_classifier(), path)
+        write_manifest(path, [read_manifest(path)])
+        with pytest.raises(MalformedModelError, match="no layer list"):
+            mp.load_model(path)
+
+    def test_rewritten_manifest_loads(self, tmp_path):
+        path = tmp_path / "m.mpmdl"
+        mp.save_model(small_classifier(), path)
+        before = path.read_bytes()
+        write_manifest(path, read_manifest(path))
+        assert path.read_bytes() == before
+        mp.load_model(path)

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentprop as mp
-from momentprop.data import Dataset, gen_toy_regression, standardize_regression
+from momentprop import training
+from momentprop.data import (
+    Dataset,
+    gen_synthetic_images,
+    gen_toy_regression,
+    ood_partition,
+    standardize_regression,
+)
+from momentprop.layers import _conv_apply, _conv_geometry, _im2col, maxpool2d_det
 from momentprop.network import forward_det
 from momentprop.training import (
     EarlyStopping,
@@ -146,6 +155,288 @@ class TestGradients:
         x = rng.normal(size=(3, 2, 7, 6))
         y = rng.integers(0, 3, 3)
         self.check_model(model, x, y, "categorical_nll", seed=6)
+
+    def test_first_layer_dropout(self):
+        # the reverse pass stops at the lowest layer with parameters, here
+        # the dense layer above an input dropout
+        rng = np.random.default_rng(7)
+        model = mp.ModelSpec(
+            layers=(
+                mp.DropoutSpec(0.3),
+                mp.DenseSpec(rng.normal(0, 0.7, (4, 6)), rng.normal(0, 0.1, 6)),
+                mp.ReluSpec(),
+                mp.DenseSpec(rng.normal(0, 0.7, (6, 1)), np.zeros(1)),
+            ),
+            input_shape=(4,), task="regression", tau=1.0,
+        )
+        x = rng.normal(size=(7, 4))
+        y = rng.normal(size=7)
+        self.check_model(model, x, y, "mse", seed=8)
+
+    def test_size3_pool_on_ragged_input(self):
+        # 8x7 conv output under a 3x3 pool: the last two rows and the last
+        # column are cropped, and a wrong gradient there shows in the kernel's
+        rng = np.random.default_rng(8)
+        model = size3_pool_model(rng)
+        x = rng.normal(size=(4, 2, 8, 7))
+        y = rng.integers(0, 3, 4)
+        self.check_model(model, x, y, "categorical_nll", seed=9)
+
+
+def size3_pool_model(rng):
+    return mp.ModelSpec(
+        layers=(
+            mp.Conv2DSpec(rng.normal(0, 0.4, (3, 2, 3, 3)), rng.normal(0, 0.1, 3), padding="same"),
+            mp.ReluSpec(),
+            mp.MaxPool2DSpec(3),
+            mp.DropoutSpec(0.3),
+            mp.FlattenSpec(),
+            mp.DenseSpec(rng.normal(0, 0.4, (12, 3)), np.zeros(3)),
+            mp.SoftmaxSpec(),
+        ),
+        input_shape=(2, 8, 7), task="classification",
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference trainer: the max pool copies its windows, takes argmax over them
+# and scatters the gradient back with put_along_axis; every layer builds its
+# input gradient, the network input's included
+
+
+def reference_pool_windows(x, n):
+    b, c, h, w = x.shape
+    hh, ww = (h // n) * n, (w // n) * n
+    x = x[:, :, :hh, :ww].reshape(b, c, hh // n, n, ww // n, n).transpose(0, 1, 2, 4, 3, 5)
+    return np.ascontiguousarray(x.reshape(b, c, hh // n, ww // n, n * n))
+
+
+def reference_pool_backward(grad, idx, x_shape, n):
+    b, c, h, w = x_shape
+    hh, ww = (h // n) * n, (w // n) * n
+    dwin = np.zeros(idx.shape + (n * n,))
+    np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
+    dx = np.zeros(x_shape)
+    dx[:, :, :hh, :ww] = (
+        dwin.reshape(b, c, hh // n, ww // n, n, n).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, hh, ww)
+    )
+    return dx
+
+
+def reference_grads(model, params, x, y, loss_kind, masks):
+    layers = training._train_layers(model)
+    h, caches = x, []
+    for i, layer in enumerate(layers):
+        if isinstance(layer, mp.DropoutSpec):
+            caches.append(masks[i])
+            h = h * masks[i]
+        elif isinstance(layer, mp.DenseSpec):
+            caches.append(h)
+            h = h @ params[i]["w"] + params[i]["b"]
+        elif isinstance(layer, mp.Conv2DSpec):
+            w = params[i]["w"]
+            _, _, pads = _conv_geometry(h.shape[2], h.shape[3], w.shape[2], w.shape[3],
+                                        layer.stride, layer.padding)
+            cols, oh, ow = _im2col(h, w.shape[2], w.shape[3], layer.stride, pads)
+            caches.append((cols, h.shape, oh, ow, pads))
+            h = _conv_apply(cols, w.reshape(w.shape[0], -1), params[i]["b"], oh, ow)
+        elif isinstance(layer, mp.MaxPool2DSpec):
+            win = reference_pool_windows(h, layer.size)
+            idx = win.argmax(axis=-1)
+            caches.append((idx, h.shape))
+            h = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        elif isinstance(layer, mp.ReluSpec):
+            caches.append(h > 0.0)
+            h = h * caches[-1]
+        else:
+            caches.append(h.shape)
+            h = h.reshape(h.shape[0], -1)
+    loss, grad = training._loss_fn(loss_kind)(h, y)
+    grads = [dict() for _ in layers]
+    for i in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[i], caches[i]
+        if isinstance(layer, (mp.DropoutSpec, mp.ReluSpec)):
+            grad = grad * cache
+        elif isinstance(layer, mp.DenseSpec):
+            grads[i] = {"w": cache.T @ grad, "b": grad.sum(axis=0)}
+            grad = grad @ params[i]["w"].T
+        elif isinstance(layer, mp.Conv2DSpec):
+            cols, x_shape, oh, ow, pads = cache
+            w = params[i]["w"]
+            dmat = grad.reshape(grad.shape[0], w.shape[0], oh * ow)
+            dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
+            grads[i] = {"w": dk.reshape(w.shape), "b": grad.sum(axis=(0, 2, 3))}
+            grad = training._col2im(w.reshape(w.shape[0], -1).T @ dmat, x_shape,
+                                    w.shape[2], w.shape[3], layer.stride, pads, oh, ow)
+        elif isinstance(layer, mp.MaxPool2DSpec):
+            grad = reference_pool_backward(grad, cache[0], cache[1], layer.size)
+        else:
+            grad = grad.reshape(cache)
+    return loss, grads
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pool_forward(x, n):
+    """The trainer's pool output and the window offset it routes to."""
+    out, caches = training._forward_cached((mp.MaxPool2DSpec(n),), [{}], x, {})
+    return out, caches[0][1][0]
+
+
+def pool_input_grad(hmap, n, gout):
+    """The gradient the trainer's pool sends to its (H, W) input hmap.
+
+    A 1x1 conv over one-hot channels (channel c is 1 at pixel c) reproduces
+    hmap as the pool's input, so its kernel gradient is that input gradient.
+    """
+    hgt, wid = hmap.shape
+    kernel = hmap.reshape(1, hgt * wid, 1, 1).copy()
+    layers = (mp.Conv2DSpec(kernel, np.zeros(1), padding="valid"), mp.MaxPool2DSpec(n))
+    params = [{"w": kernel, "b": np.zeros(1)}, {}]
+    x = np.eye(hgt * wid).reshape(1, hgt * wid, hgt, wid)
+    out, caches = training._forward_cached(layers, params, x, {})
+    # equal values only: the conv's sums turn a -0.0 pixel into +0.0
+    np.testing.assert_array_equal(out, maxpool2d_det(hmap[None, None], mp.MaxPool2DSpec(n)))
+    grads = training._backward(layers, params, caches, gout)
+    return grads[0]["w"].reshape(hgt, wid)
+
+
+def reference_input_grad(hmap, n, gout):
+    win = reference_pool_windows(hmap[None, None], n)
+    return reference_pool_backward(gout, win.argmax(axis=-1), (1, 1) + hmap.shape, n)[0, 0]
+
+
+class TestPoolRouting:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_forward_equals_maxpool2d_det(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(5, 3, 11, 13))
+        x = x * (x > 0)  # post-ReLU: -0.0 and +0.0 ties among the zeros
+        x[rng.random(x.shape) < 0.1] = 0.0
+        out, _ = pool_forward(x, n)
+        assert_bitwise(out, maxpool2d_det(x, mp.MaxPool2DSpec(n)))
+
+    def test_ties_route_to_first_max(self):
+        hmap = np.array([
+            [0.0, 0.0, 1.0, 3.0, 2.0, 2.0],
+            [0.0, -0.0, 3.0, 2.0, 1.0, 2.0],
+        ])
+        gout = np.array([[[[1.5, 2.5, 3.5]]]])
+        expected = np.array([
+            [1.5, 0.0, 0.0, 2.5, 3.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        assert_bitwise(pool_input_grad(hmap, 2, gout), expected)
+        # ReLU of negative inputs: all-zero windows route to their first offset
+        _, idx = pool_forward(np.full((2, 3, 4, 6), -0.0), 2)
+        assert idx.dtype == np.uint8 and not idx.any()
+
+    @pytest.mark.parametrize("n,shape", [(2, (5, 7)), (3, (7, 8)), (3, (5, 5)), (17, (18, 17))])
+    def test_ragged_edges_get_zero_gradient(self, n, shape):
+        # a 17x17 window has more offsets than a uint8 record can name
+        rng = np.random.default_rng(sum(shape))
+        hmap = rng.normal(size=shape)
+        oh, ow = shape[0] // n, shape[1] // n
+        gout = rng.normal(size=(1, 1, oh, ow))
+        dx = pool_input_grad(hmap, n, gout)
+        assert not dx[oh * n :].any() and not dx[:, ow * n :].any()
+        assert np.count_nonzero(dx) == oh * ow
+        assert_bitwise(dx, reference_input_grad(hmap, n, gout))
+
+    def test_grads_match_reference_on_held_out_cnn(self):
+        images = gen_synthetic_images(400, n_classes=10, size=16, seed=7,
+                                      split_fractions=(0.5, 0.125, 0.375))
+        ind, _ = ood_partition(images, (0, 1, 4, 5, 8))
+        x, y = ind.train_xy()
+        x, y = x[:64], y[:64]
+        model = mp.cnn_classifier(input_shape=(1, 16, 16), conv_channels=(8, 16),
+                                  dense_units=(64,), n_classes=5, dropout_rate=0.3, seed=0)
+        self.check_against_reference(model, x, y, seed=1)
+
+    def test_grads_match_reference_with_size3_pool(self):
+        rng = np.random.default_rng(10)
+        model = size3_pool_model(rng)
+        x = rng.normal(size=(6, 2, 8, 7))
+        self.check_against_reference(model, x, rng.integers(0, 3, 6), seed=2)
+
+    @staticmethod
+    def check_against_reference(model, x, y, seed):
+        params = extract_params(model)
+        masks = draw_masks_for(model, params, x.shape, seed=seed)
+        loss, grads = grads_with_params(model, params, x, y, "categorical_nll", masks)
+        ref_loss, ref_grads = reference_grads(model, params, x, y, "categorical_nll", masks)
+        assert loss.hex() == ref_loss.hex()
+        assert [sorted(g) for g in grads] == [sorted(g) for g in ref_grads]
+        for g, r in zip(grads, ref_grads):
+            for key in r:
+                assert_bitwise(g[key], r[key])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(2, 9),
+        st.integers(2, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_integer_inputs_route_like_argmax(self, n, hgt, wid, seed):
+        # small integers make ties common, zero ones among them
+        hgt, wid = max(hgt, n), max(wid, n)
+        rng = np.random.default_rng(seed)
+        hmap = rng.integers(-1, 3, size=(hgt, wid)).astype(np.float64)
+        hmap = hmap * (hmap > 0)
+        gout = rng.integers(1, 5, size=(1, 1, hgt // n, wid // n)).astype(np.float64)
+        assert_bitwise(pool_input_grad(hmap, n, gout), reference_input_grad(hmap, n, gout))
+
+
+class TestAdam:
+    @staticmethod
+    def reference_step(state, params, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+        state["t"] += 1
+        c1, c2 = 1.0 - b1 ** state["t"], 1.0 - b2 ** state["t"]
+        for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+            for k in p:
+                m[k] = b1 * m[k] + (1.0 - b1) * g[k]
+                v[k] = b2 * v[k] + (1.0 - b2) * np.square(g[k])
+                p[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+
+    def test_step_matches_reference_formula(self):
+        # bitwise, moments included, and the caller's gradients untouched: a
+        # rewrite that saves temporaries must keep the formula's roundings
+        rng = np.random.default_rng(0)
+        params = extract_params(size3_pool_model(rng))
+        ref_params = [{k: v.copy() for k, v in p.items()} for p in params]
+        opt = training._Adam(params, 1e-3)
+        state = {"t": 0, "m": [{k: np.zeros_like(v) for k, v in p.items()} for p in params],
+                 "v": [{k: np.zeros_like(v) for k, v in p.items()} for p in params]}
+        for step in range(6):
+            grads = [{k: rng.normal(size=v.shape) * 10.0**-step for k, v in p.items()}
+                     for p in params]
+            kept = [{k: v.copy() for k, v in g.items()} for g in grads]
+            lr = 1e-3 * 0.85**step
+            opt.step(params, grads, lr)
+            self.reference_step(state, ref_params, kept, lr)
+            for g, k_ in zip(grads, kept):
+                for key in g:
+                    assert_bitwise(g[key], k_[key])
+            for p, r, m, rm, v, rv in zip(params, ref_params, opt.m, state["m"], opt.v, state["v"]):
+                for key in r:
+                    assert_bitwise(p[key], r[key])
+                    assert_bitwise(m[key], rm[key])
+                    assert_bitwise(v[key], rv[key])
+
+
+class TestMaskDraws:
+    def test_masks_follow_layer_shapes(self):
+        # one draw per dropout layer, in layer order, at that layer's input shape
+        rng = np.random.default_rng(1)
+        model = size3_pool_model(rng)
+        masks = draw_masks_for(model, None, (5, 2, 8, 7), seed=3)
+        draws = np.random.default_rng(3)
+        assert list(masks) == [3]
+        assert np.array_equal(masks[3], draws.random((5, 3, 2, 2)) >= 0.3)
 
 
 class TestTrain:
