@@ -42,7 +42,6 @@ from .network import (
     ModelSpec,
     MomentPropagation,
     cnn_classifier,
-    forward,
     forward_det,
     forward_mp,
     load_model,

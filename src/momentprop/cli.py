@@ -25,15 +25,17 @@ from .data import (
     ood_partition,
     standardize_regression,
 )
-from .mc import mc_forward
+from .metrics import entropy, one_minus_max
 from .network import (
     MODEL_FILE_EXTENSION,
+    Deterministic,
+    MCSample,
     ModelIOError,
+    MomentPropagation,
     cnn_classifier,
-    forward_det,
-    forward_mp,
     load_model,
     mlp_regression,
+    predict,
     save_model,
 )
 from .training import (
@@ -388,30 +390,20 @@ def cmd_predict(obj, model_path, input_path, mode, t):
     """Predictive distribution for a batch of inputs."""
     model = load_model(model_path)
     x = _read_inputs(input_path)
+    if mode == "mc":
+        pred = predict(model, x, MCSample(t, seed=obj["seed"]))
+    else:
+        pred = predict(model, x, Deterministic() if mode == "det" else MomentPropagation())
     rows = []
     if model.task == "regression":
-        if mode == "det":
-            mean, var = forward_det(model, x)[:, 0], np.zeros(len(x))
-        elif mode == "mp":
-            mt = forward_mp(model, x)
-            mean, var = mt.expectation[:, 0], mt.variance[:, 0]
-        else:
-            est = mc_forward(model, x, t, seed=obj["seed"]).moments()
-            mean, var = est.mean[:, 0], est.variance[:, 0]
+        total = pred.total_variance
         for i in range(len(x)):
             rows.append({
-                "example": i, "mean": mean[i], "variance": var[i],
-                "total_variance": var[i] + 1.0 / model.tau,
+                "example": i, "mean": pred.mean[i], "variance": pred.variance[i],
+                "total_variance": total[i],
             })
     else:
-        if mode == "det":
-            probs = forward_det(model, x)
-        elif mode == "mp":
-            probs = forward_mp(model, x)
-        else:
-            probs = mc_forward(model, x, t, seed=obj["seed"]).outputs.mean(axis=0)
-        from .metrics import entropy, one_minus_max
-
+        probs = pred.probs
         for i in range(len(x)):
             row = {"example": i, "predicted_class": int(probs[i].argmax()),
                    "entropy": entropy(probs[i]), "one_minus_max": one_minus_max(probs[i])}

@@ -75,24 +75,27 @@ class ExperimentReport:
         return paths
 
 
-def timed(fn, repeats: int = 3, warmup: bool = True):
-    """Run fn repeatedly; returns (last result, mean seconds, se seconds).
+def _timed_with_median(fn, repeats, min_total_s: float = 1.5):
+    """Last result plus mean/SE/median of per-call wall time and the number
+    of calls timed, after one untimed warm-up call.
 
-    One untimed warmup call settles allocator and cache state so the mean
-    reflects steady-state cost.
+    Short-running calls are repeated until at least ``min_total_s`` of
+    measured time accumulates (never fewer than ``repeats`` calls), which
+    keeps the median stable against scheduler noise on shared hosts.
     """
     if repeats < 3:
         repeats = 3
-    if warmup:
-        result = fn()
+    fn()  # warmup
     times = []
-    result = None
-    for _ in range(repeats):
+    total = 0.0
+    while len(times) < repeats or (total < min_total_s and len(times) < 200):
         started = time.perf_counter()
         result = fn()
-        times.append(time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        times.append(elapsed)
+        total += elapsed
     mean, se = metrics.mean_with_se(times)
-    return result, mean, se
+    return result, mean, se, float(np.median(times)), len(times)
 
 
 def _parallel_map(fn, items, threads: int = 1):
@@ -235,7 +238,9 @@ def run_toy_experiment(
     t: int = 10_000, seed: int = 0, epochs: int = 2000, n: int = 1536, **train_kw
 ) -> ExperimentReport:
     model, data, train_report = train_toy_model(n=n, epochs=epochs, seed=seed, **train_kw)
-    rows, mean_s, se_s = timed(lambda: toy_curves(model, data, t=t, seed=seed))
+    rows, mean_s, se_s, _, n_timed = _timed_with_median(
+        lambda: toy_curves(model, data, t=t, seed=seed), 3
+    )
     config = {
         "t": t, "seed": seed, "epochs": epochs, "n": n,
         "hidden": list(train_kw.get("hidden", (256, 256, 256))),
@@ -246,7 +251,7 @@ def run_toy_experiment(
         config=config,
         tables={"curves": rows},
         runtimes={
-            "curve_evaluation": {"mean_s": mean_s, "se_s": se_s, "repeats": 3},
+            "curve_evaluation": {"mean_s": mean_s, "se_s": se_s, "repeats": n_timed},
             "training": {"mean_s": train_report.wall_clock_seconds, "se_s": 0.0, "repeats": 1},
         },
     )
@@ -295,8 +300,8 @@ def uci_run(
         mean, var = destandardize_mean_var(rec, mt.expectation[:, 0], mt.variance[:, 0])
         return metrics.score_regression_mp(mean, var, tau_orig, y_test)
 
-    score_mc, rt_mc, rt_mc_se = timed(eval_mc, timing_repeats)
-    score_mp, rt_mp, rt_mp_se = timed(eval_mp, timing_repeats)
+    score_mc, rt_mc, rt_mc_se, _, _ = _timed_with_median(eval_mc, timing_repeats)
+    score_mp, rt_mp, rt_mp_se, _, _ = _timed_with_median(eval_mp, timing_repeats)
     _, nll_mc_se = metrics.mean_with_se(-score_mc.log_densities)
     _, nll_mp_se = metrics.mean_with_se(-score_mp.log_densities)
     return {
@@ -626,28 +631,6 @@ def reference_cnn(n_classes: int = 10, seed: int = 0) -> ModelSpec:
     )
 
 
-def _timed_with_median(fn, repeats, min_total_s: float = 1.5):
-    """Mean/SE/median of per-call wall time.
-
-    Short-running calls are repeated until at least ``min_total_s`` of
-    measured time accumulates (never fewer than ``repeats`` calls), which
-    keeps the median stable against scheduler noise on shared hosts.
-    """
-    if repeats < 3:
-        repeats = 3
-    fn()  # warmup
-    times = []
-    total = 0.0
-    while len(times) < repeats or (total < min_total_s and len(times) < 200):
-        started = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - started
-        times.append(elapsed)
-        total += elapsed
-    mean, se = metrics.mean_with_se(times)
-    return mean, se, float(np.median(times)), len(times)
-
-
 def run_benchmark(
     model: ModelSpec,
     batch,
@@ -662,15 +645,17 @@ def run_benchmark(
     """
     batch = np.asarray(batch, dtype=np.float64)
     rows = []
-    det_s, det_se, det_med, n_det = _timed_with_median(lambda: forward_det(model, batch), repeats)
+    _, det_s, det_se, det_med, n_det = _timed_with_median(
+        lambda: forward_det(model, batch), repeats
+    )
     rows.append({"mode": "det", "t": 1, "mean_s": det_s, "se_s": det_se,
                  "median_s": det_med, "repeats": n_det})
-    mp_s, mp_se, mp_med, n_mp = _timed_with_median(lambda: forward_mp(model, batch), repeats)
+    _, mp_s, mp_se, mp_med, n_mp = _timed_with_median(lambda: forward_mp(model, batch), repeats)
     rows.append({"mode": "mp", "t": 1, "mean_s": mp_s, "se_s": mp_se,
                  "median_s": mp_med, "repeats": n_mp})
     mc_med = {}
     for t in t_list:
-        mc_s, mc_se, med, n_mc = _timed_with_median(
+        _, mc_s, mc_se, med, n_mc = _timed_with_median(
             lambda t=t: mc_forward(model, batch, t, seed=seed), repeats
         )
         rows.append({"mode": "mc", "t": t, "mean_s": mc_s, "se_s": mc_se,

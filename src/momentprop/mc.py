@@ -13,20 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .layers import (
-    Conv2DSpec,
-    DenseSpec,
-    DropoutSpec,
-    MaxPool2DSpec,
-    ReluSpec,
-    SoftmaxSpec,
-    conv2d_det,
-    dense_det,
-    dropout_sample,
-    maxpool2d_det,
-    relu_det,
-    softmax_det,
-)
+from .layers import Conv2DSpec, DropoutSpec, MaxPool2DSpec, _conv_geometry, dropout_sample
 from .moments import MomentTensor
 
 
@@ -148,7 +135,7 @@ def layer_oracle(
 
     input_dist is either a MomentTensor (independent Gaussian inputs) or a
     plain array (a fixed point input).  The layer is applied to each draw via
-    its deterministic forward, except dropout which samples fresh masks.
+    its kind's det op, except dropout which samples fresh masks.
     If ``component`` is given, only that flat output component's moments are
     accumulated (the layer itself is still applied in full).
     """
@@ -168,10 +155,11 @@ def layer_oracle(
     # component's receptive field and evaluate the output by its definition;
     # statistically identical (other inputs cannot affect the component) and
     # independent of the production patch-matrix code path.
-    if component is not None and isinstance(layer, (Conv2DSpec, MaxPool2DSpec)):
-        mean, std, reducer = _receptive_field(layer, mean, std, component)
-    else:
-        reducer = None
+    field = _RECEPTIVE_FIELDS.get(type(layer)) if component is not None else None
+    reducer = None
+    if field is not None:
+        mean, std, reducer = field(layer, mean, std, component)
+    det = network.kind_of(layer).det
 
     acc = _RunningMoments()
     remaining = int(n_samples)
@@ -185,47 +173,39 @@ def layer_oracle(
         if reducer is not None:
             out = reducer(draws)
         elif isinstance(layer, DropoutSpec):
-            out = draws * (rng.random(draws.shape) >= layer.rate)
-        elif isinstance(layer, DenseSpec):
-            out = dense_det(draws, layer)
-        elif isinstance(layer, Conv2DSpec):
-            out = conv2d_det(draws, layer)
-        elif isinstance(layer, MaxPool2DSpec):
-            out = maxpool2d_det(draws, layer)
-        elif isinstance(layer, ReluSpec):
-            out = relu_det(draws)
-        elif isinstance(layer, SoftmaxSpec):
-            out = softmax_det(draws)
+            out = dropout_sample(draws, layer, rng)
         else:
-            raise TypeError(f"no oracle for layer {type(layer).__name__}")
+            out = det(draws, layer)
         if component is not None and reducer is None:
             out = out.reshape(out.shape[0], -1)[:, component]
         acc.add(out)
     return acc.finalize()
 
 
-def _receptive_field(layer, mean, std, component):
-    """Moments of one output component's input patch plus its evaluator."""
-    from .layers import _conv_geometry
+def _conv_field(layer, mean, std, component):
+    """Moments of one conv output component's input patch plus its evaluator."""
+    _, h, w = mean.shape
+    kh, kw = layer.kernel_size
+    oh, ow, (pt, _, pl, _) = _conv_geometry(h, w, kh, kw, layer.stride, layer.padding)
+    oc_i, rest = divmod(component, oh * ow)
+    y, x = divmod(rest, ow)
+    mp_ = np.pad(mean, ((0, 0), (pt, kh), (pl, kw)))  # generous right/bottom pad
+    sp_ = np.pad(std, ((0, 0), (pt, kh), (pl, kw)))
+    y0, x0 = y * layer.stride, x * layer.stride
+    patch_mean = mp_[:, y0 : y0 + kh, x0 : x0 + kw]
+    patch_std = sp_[:, y0 : y0 + kh, x0 : x0 + kw]
+    kern = layer.kernel[oc_i]
+    bias = layer.bias[oc_i]
 
-    c_in, h, w = mean.shape
-    if isinstance(layer, Conv2DSpec):
-        kh, kw = layer.kernel_size
-        oh, ow, (pt, _, pl, _) = _conv_geometry(h, w, kh, kw, layer.stride, layer.padding)
-        oc_i, rest = divmod(component, oh * ow)
-        y, x = divmod(rest, ow)
-        mp_ = np.pad(mean, ((0, 0), (pt, kh), (pl, kw)))  # generous right/bottom pad
-        sp_ = np.pad(std, ((0, 0), (pt, kh), (pl, kw)))
-        y0, x0 = y * layer.stride, x * layer.stride
-        patch_mean = mp_[:, y0 : y0 + kh, x0 : x0 + kw]
-        patch_std = sp_[:, y0 : y0 + kh, x0 : x0 + kw]
-        kern = layer.kernel[oc_i]
-        bias = layer.bias[oc_i]
+    def reducer(draws):
+        return np.tensordot(draws, kern, axes=([1, 2, 3], [0, 1, 2])) + bias
 
-        def reducer(draws):
-            return np.tensordot(draws, kern, axes=([1, 2, 3], [0, 1, 2])) + bias
+    return patch_mean, patch_std, reducer
 
-        return patch_mean, patch_std, reducer
+
+def _pool_field(layer, mean, std, component):
+    """Moments of one pooled output component's window plus its evaluator."""
+    _, h, w = mean.shape
     n = layer.size
     oh, ow = h // n, w // n
     c_i, rest = divmod(component, oh * ow)
@@ -237,3 +217,6 @@ def _receptive_field(layer, mean, std, component):
         return draws.reshape(draws.shape[0], -1).max(axis=1)
 
     return patch_mean, patch_std, reducer
+
+
+_RECEPTIVE_FIELDS = {Conv2DSpec: _conv_field, MaxPool2DSpec: _pool_field}

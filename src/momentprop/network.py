@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -80,33 +81,124 @@ class ModelMeta:
         )
 
 
-def _shape_after(layer: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(layer, (DropoutSpec, ReluSpec)):
-        return shape
-    if isinstance(layer, DenseSpec):
-        if len(shape) != 1 or shape[0] != layer.in_dim:
-            raise ValueError(f"dense({layer.in_dim}->{layer.out_dim}) cannot follow shape {shape}")
-        return (layer.out_dim,)
-    if isinstance(layer, Conv2DSpec):
-        if len(shape) != 3 or shape[0] != layer.in_channels:
-            raise ValueError(f"conv2d expects (C={layer.in_channels}, H, W), got {shape}")
-        kh, kw = layer.kernel_size
-        oh, ow, _ = _conv_geometry(shape[1], shape[2], kh, kw, layer.stride, layer.padding)
-        return (layer.out_channels, oh, ow)
-    if isinstance(layer, MaxPool2DSpec):
-        if len(shape) != 3:
-            raise ValueError(f"maxpool2d expects (C, H, W), got {shape}")
-        oh, ow = shape[1] // layer.size, shape[2] // layer.size
-        if oh == 0 or ow == 0:
-            raise ValueError(f"{layer.size}x{layer.size} pooling cannot follow shape {shape}")
-        return (shape[0], oh, ow)
-    if isinstance(layer, FlattenSpec):
-        return (int(np.prod(shape)),)
-    if isinstance(layer, SoftmaxSpec):
-        if len(shape) != 1 or shape[0] < 2:
-            raise ValueError(f"softmax expects a logit vector of length >= 2, got {shape}")
-        return shape
-    raise TypeError(f"unknown layer spec {type(layer).__name__}")
+def _same_shape(layer, shape):
+    return shape
+
+
+def _dense_shape(layer: DenseSpec, shape):
+    if len(shape) != 1 or shape[0] != layer.in_dim:
+        raise ValueError(f"dense({layer.in_dim}->{layer.out_dim}) cannot follow shape {shape}")
+    return (layer.out_dim,)
+
+
+def _conv_shape(layer: Conv2DSpec, shape):
+    if len(shape) != 3 or shape[0] != layer.in_channels:
+        raise ValueError(f"conv2d expects (C={layer.in_channels}, H, W), got {shape}")
+    kh, kw = layer.kernel_size
+    oh, ow, _ = _conv_geometry(shape[1], shape[2], kh, kw, layer.stride, layer.padding)
+    return (layer.out_channels, oh, ow)
+
+
+def _pool_shape(layer: MaxPool2DSpec, shape):
+    if len(shape) != 3:
+        raise ValueError(f"maxpool2d expects (C, H, W), got {shape}")
+    oh, ow = shape[1] // layer.size, shape[2] // layer.size
+    if oh == 0 or ow == 0:
+        raise ValueError(f"{layer.size}x{layer.size} pooling cannot follow shape {shape}")
+    return (shape[0], oh, ow)
+
+
+def _softmax_shape(layer, shape):
+    if len(shape) != 1 or shape[0] < 2:
+        raise ValueError(f"softmax expects a logit vector of length >= 2, got {shape}")
+    return shape
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """Everything the package does per layer kind; ``KINDS`` maps each spec
+    type to its record.
+
+    ``det`` and ``mp`` look the module's ``*_det`` / ``*_mp`` functions up by
+    name when called, so a wrapper assigned to ``network.dense_det`` (say)
+    sees every dense call of every walker.
+    """
+
+    name: str  # the manifest's "kind"
+    keys: tuple[str, ...]  # the other manifest keys, in file order
+    out_shape: Callable  # (layer, input shape) -> output shape; ValueError if it cannot follow
+    det: Callable  # (batched array, layer) -> array
+    mp: Callable  # (MomentTensor, layer) -> MomentTensor, or probabilities after softmax
+    build: Callable  # (manifest entry, tensors) -> layer
+    tensors: Callable = lambda layer: []  # the weight tensors, in file order
+    tensor_shapes: Callable = lambda entry: []  # their shapes, from a checked entry
+
+    def entry(self, layer) -> dict:
+        """The layer's manifest entry; a tuple is written as a list."""
+        entry = {"kind": self.name}
+        for k in self.keys:
+            v = getattr(layer, k)
+            entry[k] = list(v) if isinstance(v, tuple) else v
+        return entry
+
+
+KINDS: dict[type, LayerKind] = {
+    DropoutSpec: LayerKind(
+        "dropout", ("rate",), _same_shape,
+        lambda h, l: dropout_det(h, l), lambda mt, l: dropout_mp(mt, l),
+        lambda e, t: DropoutSpec(rate=float(e["rate"])),
+    ),
+    DenseSpec: LayerKind(
+        "dense", ("in_dim", "out_dim"), _dense_shape,
+        lambda h, l: dense_det(h, l), lambda mt, l: dense_mp(mt, l),
+        lambda e, t: DenseSpec(weights=t[0], bias=t[1]),
+        tensors=lambda l: [l.weights, l.bias],
+        tensor_shapes=lambda e: [(e["in_dim"], e["out_dim"]), (e["out_dim"],)],
+    ),
+    Conv2DSpec: LayerKind(
+        "conv2d", ("out_channels", "in_channels", "kernel_size", "padding", "stride"),
+        _conv_shape,
+        lambda h, l: conv2d_det(h, l), lambda mt, l: conv2d_mp(mt, l),
+        lambda e, t: Conv2DSpec(
+            kernel=t[0], bias=t[1], padding=e["padding"], stride=int(e["stride"])
+        ),
+        tensors=lambda l: [l.kernel, l.bias],
+        tensor_shapes=lambda e: [
+            (e["out_channels"], e["in_channels"], *e["kernel_size"]), (e["out_channels"],)
+        ],
+    ),
+    MaxPool2DSpec: LayerKind(
+        "maxpool2d", ("size",), _pool_shape,
+        lambda h, l: maxpool2d_det(h, l), lambda mt, l: maxpool2d_mp(mt, l),
+        lambda e, t: MaxPool2DSpec(size=int(e["size"])),
+    ),
+    ReluSpec: LayerKind(
+        "relu", (), _same_shape,
+        lambda h, l: relu_det(h), lambda mt, l: relu_mp(mt), lambda e, t: ReluSpec(),
+    ),
+    FlattenSpec: LayerKind(
+        "flatten", (), lambda l, shape: (int(np.prod(shape)),),
+        lambda h, l: h.reshape(h.shape[0], -1),
+        lambda mt, l: MomentTensor._unchecked(
+            mt.expectation.reshape(len(mt.expectation), -1),
+            mt.variance.reshape(len(mt.expectation), -1),
+        ),
+        lambda e, t: FlattenSpec(),
+    ),
+    SoftmaxSpec: LayerKind(
+        "softmax", (), _softmax_shape,
+        lambda h, l: softmax_det(h), lambda mt, l: softmax_mp(mt), lambda e, t: SoftmaxSpec(),
+    ),
+}
+_KINDS_BY_NAME = {kind.name: kind for kind in KINDS.values()}
+
+
+def kind_of(layer) -> LayerKind:
+    """The record of a layer's kind; TypeError for anything else."""
+    kind = KINDS.get(type(layer))
+    if kind is None:
+        raise TypeError(f"unknown layer spec {type(layer).__name__}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -130,6 +222,8 @@ class ModelSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if not self.layers:
             raise ValueError("model needs at least one layer")
+        if any(isinstance(l, SoftmaxSpec) for l in self.layers[:-1]):
+            raise ValueError("no layer may follow softmax")
         if self.task == TASK_CLASSIFICATION and not isinstance(self.layers[-1], SoftmaxSpec):
             raise ValueError("classification models must end in softmax")
         if self.task == TASK_REGRESSION:
@@ -145,7 +239,7 @@ class ModelSpec:
         shapes = []
         shape = self.input_shape
         for layer in self.layers:
-            shape = _shape_after(layer, shape)
+            shape = kind_of(layer).out_shape(layer, shape)
             shapes.append(shape)
         return tuple(shapes)
 
@@ -206,26 +300,15 @@ def _as_batch(model: ModelSpec, x):
     raise ValueError(f"input shape {x.shape} does not match model input {model.input_shape}")
 
 
-def _run_arrays(model: ModelSpec, xb, dropout_fn, upto=None, collect=None):
-    """Walk the stack on a batched array; dropout_fn(h, spec, index) decides
-    the dropout behaviour for the mode."""
+def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None):
+    """Walk the stack on a batched array with each kind's det op; with
+    ``sample``, dropout layers run sample(h, spec, index) instead."""
     h = xb
-    stop = len(model.layers) if upto is None else upto
-    for idx, layer in enumerate(model.layers[:stop]):
-        if isinstance(layer, DropoutSpec):
-            h = dropout_fn(h, layer, idx)
-        elif isinstance(layer, DenseSpec):
-            h = dense_det(h, layer)
-        elif isinstance(layer, Conv2DSpec):
-            h = conv2d_det(h, layer)
-        elif isinstance(layer, MaxPool2DSpec):
-            h = maxpool2d_det(h, layer)
-        elif isinstance(layer, ReluSpec):
-            h = relu_det(h)
-        elif isinstance(layer, FlattenSpec):
-            h = h.reshape(h.shape[0], -1)
-        elif isinstance(layer, SoftmaxSpec):
-            h = softmax_det(h)
+    for idx, layer in enumerate(model.layers[:upto]):
+        if sample is not None and isinstance(layer, DropoutSpec):
+            h = sample(h, layer, idx)
+        else:
+            h = KINDS[type(layer)].det(h, layer)
         if collect is not None:
             collect.append(h)
     return h
@@ -241,30 +324,12 @@ def _run_mp(model: ModelSpec, xb, upto=None, collect=None):
     stop = len(model.layers[:upto])
     start = min(model.det_prefix, stop)
     points = [] if collect is not None else None
-    h = _run_arrays(model, xb, None, upto=start, collect=points)  # the prefix has no dropout
+    h = _run_arrays(model, xb, upto=start, collect=points)
     if collect is not None:
         collect.extend(MomentTensor._unchecked(p, np.zeros_like(p)) for p in points)
     out = MomentTensor._unchecked(h, np.zeros_like(h))
     for layer in model.layers[start:stop]:
-        if isinstance(out, np.ndarray):
-            raise ValueError("no layer may follow softmax in propagation mode")
-        if isinstance(layer, DropoutSpec):
-            out = dropout_mp(out, layer)
-        elif isinstance(layer, DenseSpec):
-            out = dense_mp(out, layer)
-        elif isinstance(layer, Conv2DSpec):
-            out = conv2d_mp(out, layer)
-        elif isinstance(layer, MaxPool2DSpec):
-            out = maxpool2d_mp(out, layer)
-        elif isinstance(layer, ReluSpec):
-            out = relu_mp(out)
-        elif isinstance(layer, FlattenSpec):
-            b = out.expectation.shape[0]
-            out = MomentTensor._unchecked(
-                out.expectation.reshape(b, -1), out.variance.reshape(b, -1)
-            )
-        elif isinstance(layer, SoftmaxSpec):
-            out = softmax_mp(out)
+        out = KINDS[type(layer)].mp(out, layer)
         if collect is not None:
             collect.append(out)
     return out
@@ -273,7 +338,7 @@ def _run_mp(model: ModelSpec, xb, upto=None, collect=None):
 def forward_det(model: ModelSpec, x, upto=None):
     """Plain forward pass; dropout layers rescale by their keep rate."""
     xb, squeeze = _as_batch(model, x)
-    out = _run_arrays(model, xb, lambda h, l, i: dropout_det(h, l), upto=upto)
+    out = _run_arrays(model, xb, upto=upto)
     return out[0] if squeeze else out
 
 
@@ -281,9 +346,7 @@ def forward_sample(model: ModelSpec, x, rng_for_layer, upto=None):
     """Stochastic forward pass; rng_for_layer(layer_index) must yield the
     generator used for that dropout layer's mask."""
     xb, squeeze = _as_batch(model, x)
-    out = _run_arrays(
-        model, xb, lambda h, l, i: dropout_sample(h, l, rng_for_layer(i)), upto=upto
-    )
+    out = _run_arrays(model, xb, lambda h, l, i: dropout_sample(h, l, rng_for_layer(i)), upto)
     return out[0] if squeeze else out
 
 
@@ -306,7 +369,7 @@ def trace_det(model: ModelSpec, x) -> list:
     """Per-layer outputs of the deterministic forward (single example)."""
     xb, _ = _as_batch(model, x)
     outs: list = []
-    _run_arrays(model, xb, lambda h, l, i: dropout_det(h, l), collect=outs)
+    _run_arrays(model, xb, collect=outs)
     return [o[0] for o in outs]
 
 
@@ -322,24 +385,6 @@ def trace_mp(model: ModelSpec, x) -> list:
         else:
             result.append(o[0])
     return result
-
-
-def forward(model: ModelSpec, x, mode: ForwardMode = Deterministic()):
-    """Dispatch on the execution mode.
-
-    Deterministic -> point output array; MCSample -> SampleBatch of stacked
-    stochastic outputs; MomentPropagation -> MomentTensor (or probabilities
-    after a softmax head).
-    """
-    if isinstance(mode, Deterministic):
-        return forward_det(model, x)
-    if isinstance(mode, MomentPropagation):
-        return forward_mp(model, x)
-    if isinstance(mode, MCSample):
-        from .mc import mc_forward
-
-        return mc_forward(model, x, mode.t, mode.seed)
-    raise TypeError(f"unknown forward mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +464,9 @@ def predict(model: ModelSpec, x, mode: ForwardMode = Deterministic()) -> Predict
             mt = forward_mp(model, x)
             return GaussianPrediction(mt.expectation[..., 0], mt.variance[..., 0], model.tau)
         if isinstance(mode, MCSample):
-            batch = forward(model, x, mode)
-            est = batch.moments()
+            from .mc import mc_forward
+
+            est = mc_forward(model, x, mode.t, mode.seed).moments()
             return GaussianPrediction(est.mean[..., 0], est.variance[..., 0], model.tau)
         raise TypeError(f"unknown forward mode {mode!r}")
     # classification
@@ -429,8 +475,9 @@ def predict(model: ModelSpec, x, mode: ForwardMode = Deterministic()) -> Predict
     if isinstance(mode, MomentPropagation):
         return CategoricalPrediction(forward_mp(model, x))
     if isinstance(mode, MCSample):
-        batch = forward(model, x, mode)
-        return CategoricalPrediction(batch.outputs.mean(axis=0))
+        from .mc import mc_forward
+
+        return CategoricalPrediction(mc_forward(model, x, mode.t, mode.seed).outputs.mean(axis=0))
     raise TypeError(f"unknown forward mode {mode!r}")
 
 
@@ -443,97 +490,22 @@ _VERSION = 1
 MODEL_FILE_EXTENSION = ".mpmdl"
 
 
-def _layer_entry(layer: LayerSpec) -> dict:
-    if isinstance(layer, DropoutSpec):
-        return {"kind": "dropout", "rate": layer.rate}
-    if isinstance(layer, DenseSpec):
-        return {"kind": "dense", "in_dim": layer.in_dim, "out_dim": layer.out_dim}
-    if isinstance(layer, Conv2DSpec):
-        return {
-            "kind": "conv2d",
-            "out_channels": layer.out_channels,
-            "in_channels": layer.in_channels,
-            "kernel_size": list(layer.kernel_size),
-            "padding": layer.padding,
-            "stride": layer.stride,
-        }
-    if isinstance(layer, MaxPool2DSpec):
-        return {"kind": "maxpool2d", "size": layer.size}
-    if isinstance(layer, ReluSpec):
-        return {"kind": "relu"}
-    if isinstance(layer, FlattenSpec):
-        return {"kind": "flatten"}
-    if isinstance(layer, SoftmaxSpec):
-        return {"kind": "softmax"}
-    raise TypeError(f"unknown layer spec {type(layer).__name__}")
-
-
-def _layer_tensors(layer: LayerSpec) -> list[np.ndarray]:
-    if isinstance(layer, DenseSpec):
-        return [layer.weights, layer.bias]
-    if isinstance(layer, Conv2DSpec):
-        return [layer.kernel, layer.bias]
-    return []
-
-
-_ENTRY_KEYS = {
-    "dropout": ("rate",),
-    "dense": ("in_dim", "out_dim"),
-    "conv2d": ("out_channels", "in_channels", "kernel_size", "padding", "stride"),
-    "maxpool2d": ("size",),
-    "relu": (), "flatten": (), "softmax": (),
-}
-
-
-def _check_entry(entry) -> None:
-    """Reject an entry without a known kind, its keys or positive integer sizes."""
-    kind = entry.get("kind") if isinstance(entry, dict) else None
-    if not isinstance(kind, str) or kind not in _ENTRY_KEYS:
+def _check_entry(entry) -> LayerKind:
+    """The record of an entry's kind, once the entry has a known kind, that
+    kind's keys and positive integer sizes."""
+    name = entry.get("kind") if isinstance(entry, dict) else None
+    kind = _KINDS_BY_NAME.get(name) if isinstance(name, str) else None
+    if kind is None:
         raise MalformedModelError(f"layer entry {entry!r} has no known kind")
-    if any(k not in entry for k in _ENTRY_KEYS[kind]):
-        raise MalformedModelError(f"{kind} layer entry needs {', '.join(_ENTRY_KEYS[kind])}")
-    sizes = [entry[k] for k in _ENTRY_KEYS[kind] if k not in ("rate", "padding", "kernel_size")]
-    if kind == "conv2d":
+    if any(k not in entry for k in kind.keys):
+        raise MalformedModelError(f"{name} layer entry needs {', '.join(kind.keys)}")
+    sizes = [entry[k] for k in kind.keys if k not in ("rate", "padding", "kernel_size")]
+    if "kernel_size" in kind.keys:
         kernel = entry["kernel_size"]
         sizes += kernel if isinstance(kernel, list) and len(kernel) == 2 else [kernel]
     if not all(type(d) is int and d > 0 for d in sizes):
-        raise MalformedModelError(f"{kind} layer entry has a size that is not a positive integer")
-
-
-def _tensor_shapes(entry: dict) -> list[tuple[int, ...]]:
-    _check_entry(entry)
-    kind = entry["kind"]
-    if kind == "dense":
-        return [(entry["in_dim"], entry["out_dim"]), (entry["out_dim"],)]
-    if kind == "conv2d":
-        kh, kw = entry["kernel_size"]
-        return [
-            (entry["out_channels"], entry["in_channels"], kh, kw),
-            (entry["out_channels"],),
-        ]
-    return []
-
-
-def _layer_from_entry(entry: dict, tensors: list[np.ndarray]) -> LayerSpec:
-    kind = entry["kind"]
-    if kind == "dropout":
-        return DropoutSpec(rate=float(entry["rate"]))
-    if kind == "dense":
-        return DenseSpec(weights=tensors[0], bias=tensors[1])
-    if kind == "conv2d":
-        return Conv2DSpec(
-            kernel=tensors[0],
-            bias=tensors[1],
-            padding=entry["padding"],
-            stride=int(entry["stride"]),
-        )
-    if kind == "maxpool2d":
-        return MaxPool2DSpec(size=int(entry["size"]))
-    if kind == "relu":
-        return ReluSpec()
-    if kind == "flatten":
-        return FlattenSpec()
-    return SoftmaxSpec()  # the last kind _check_entry admits
+        raise MalformedModelError(f"{name} layer entry has a size that is not a positive integer")
+    return kind
 
 
 def save_model(model: ModelSpec, path) -> None:
@@ -543,7 +515,7 @@ def save_model(model: ModelSpec, path) -> None:
         "input_shape": list(model.input_shape),
         "tau": model.tau,
         "metadata": model.metadata.to_dict(),
-        "layers": [_layer_entry(l) for l in model.layers],
+        "layers": [KINDS[type(l)].entry(l) for l in model.layers],
     }
     blob = bytearray()
     blob += _MAGIC
@@ -552,7 +524,7 @@ def save_model(model: ModelSpec, path) -> None:
     blob += np.uint64(len(manifest_bytes)).tobytes()
     blob += manifest_bytes
     for layer in model.layers:
-        for tensor in _layer_tensors(layer):
+        for tensor in KINDS[type(layer)].tensors(layer):
             blob += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
     blob += np.uint32(zlib.crc32(bytes(blob)) & 0xFFFFFFFF).tobytes()
     Path(path).write_bytes(bytes(blob))
@@ -583,7 +555,11 @@ def load_model(path) -> ModelSpec:
     entries = manifest.get("layers") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise MalformedModelError("manifest has no layer list")
-    shapes = [_tensor_shapes(e) for e in entries]
+    kinds = [_check_entry(e) for e in entries]
+    shapes = [kind.tensor_shapes(e) for kind, e in zip(kinds, entries)]
+    input_shape = manifest.get("input_shape")
+    if not (isinstance(input_shape, list) and all(type(d) is int and d > 0 for d in input_shape)):
+        raise MalformedModelError(f"input_shape {input_shape!r} is not a list of positive sizes")
     expected = sum(int(np.prod(s)) for per_layer in shapes for s in per_layer) * 4
     blobs = body[manifest_len:]
     if len(blobs) != expected:
@@ -593,7 +569,7 @@ def load_model(path) -> ModelSpec:
     layers = []
     offset = 0
     try:
-        for entry, per_layer in zip(entries, shapes):
+        for kind, entry, per_layer in zip(kinds, entries, shapes):
             tensors = []
             for shape in per_layer:
                 count = int(np.prod(shape))
@@ -603,10 +579,10 @@ def load_model(path) -> ModelSpec:
                     .astype(np.float64)
                 )
                 offset += count * 4
-            layers.append(_layer_from_entry(entry, tensors))
+            layers.append(kind.build(entry, tensors))
         return ModelSpec(
             layers=tuple(layers),
-            input_shape=tuple(manifest["input_shape"]),
+            input_shape=tuple(input_shape),
             task=manifest["task"],
             tau=manifest.get("tau"),
             metadata=ModelMeta.from_dict(manifest.get("metadata", {})),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .layers import (
 )
 from .metrics import regression_nll_mc, regression_nll_mp
 from .network import (
+    KINDS,
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
     ModelMeta,
@@ -115,29 +117,19 @@ class TrainReport:
 
 def extract_params(model: ModelSpec) -> list[dict[str, np.ndarray]]:
     """Mutable float64 copies of every trainable tensor, aligned with the
-    layer list (empty dict for parameterless layers)."""
-    params = []
-    for layer in model.layers:
-        if isinstance(layer, DenseSpec):
-            params.append({"w": layer.weights.copy(), "b": layer.bias.copy()})
-        elif isinstance(layer, Conv2DSpec):
-            params.append({"w": layer.kernel.copy(), "b": layer.bias.copy()})
-        else:
-            params.append({})
-    return params
+    layer list: "w" and "b" in file order, an empty dict for parameterless
+    layers."""
+    return [
+        dict(zip(("w", "b"), (t.copy() for t in KINDS[type(layer)].tensors(layer))))
+        for layer in model.layers
+    ]
 
 
 def _rebuild_model(model: ModelSpec, params, cfg: TrainConfig) -> ModelSpec:
     layers = []
     for layer, p in zip(model.layers, params):
-        if isinstance(layer, DenseSpec):
-            layers.append(DenseSpec(weights=p["w"], bias=p["b"]))
-        elif isinstance(layer, Conv2DSpec):
-            layers.append(
-                Conv2DSpec(kernel=p["w"], bias=p["b"], padding=layer.padding, stride=layer.stride)
-            )
-        else:
-            layers.append(layer)
+        kind = KINDS[type(layer)]
+        layers.append(kind.build(kind.entry(layer), list(p.values())))
     return ModelSpec(
         layers=tuple(layers),
         input_shape=model.input_shape,
@@ -178,55 +170,6 @@ def _train_layers(model: ModelSpec):
     return model.layers
 
 
-def _forward_cached(layers, params, x, masks):
-    """Forward through the stack caching what the reverse pass needs.
-
-    masks[i] holds the dropout mask for layer i (missing entries are drawn
-    beforehand by the caller).
-    """
-    h = x
-    caches = []
-    for i, layer in enumerate(layers):
-        if isinstance(layer, DropoutSpec):
-            mask = masks[i]
-            caches.append(("dropout", mask))
-            h = h * mask
-        elif isinstance(layer, DenseSpec):
-            w, b = params[i]["w"], params[i]["b"]
-            caches.append(("dense", h))
-            h = h @ w + b
-        elif isinstance(layer, Conv2DSpec):
-            w, b = params[i]["w"], params[i]["b"]
-            kh, kw = w.shape[2], w.shape[3]
-            _, _, pads = _conv_geometry(
-                h.shape[2], h.shape[3], kh, kw, layer.stride, layer.padding
-            )
-            cols, oh, ow = _im2col(h, kh, kw, layer.stride, pads)
-            caches.append(("conv2d", (cols, h.shape, oh, ow, pads, layer)))
-            h = _conv_apply(cols, w.reshape(w.shape[0], -1), b, oh, ow)
-        elif isinstance(layer, MaxPool2DSpec):
-            # running max over the window offsets; idx keeps the first to reach it
-            n, win = layer.size, _pool_view(h, layer.size)
-            out = win[:, :, :, 0, :, 0].copy()
-            idx = np.zeros(out.shape, dtype=np.min_scalar_type(n * n - 1))
-            for k in range(1, n * n):
-                cand = win[:, :, :, k // n, :, k % n]
-                np.copyto(idx, k, where=cand > out)
-                np.maximum(out, cand, out=out)
-            caches.append(("maxpool2d", (idx, h.shape, n)))
-            h = out
-        elif isinstance(layer, ReluSpec):
-            pos = h > 0.0
-            caches.append(("relu", pos))
-            h = h * pos
-        elif isinstance(layer, FlattenSpec):
-            caches.append(("flatten", h.shape))
-            h = h.reshape(h.shape[0], -1)
-        else:
-            raise TypeError(f"cannot train through {type(layer).__name__}")
-    return h, caches
-
-
 def _col2im(dcols, x_shape, kh, kw, stride, pads, oh, ow):
     b, c, h, w = x_shape
     pt, pb, pl, pr = pads
@@ -240,46 +183,114 @@ def _col2im(dcols, x_shape, kh, kw, stride, pads, oh, ow):
     return dxp[:, :, pt : pt + h, pl : pl + w]
 
 
+def _dense_backward(grad, x, layer, p, need_input):
+    grads = {"w": x.T @ grad, "b": grad.sum(axis=0)}
+    return (grad @ p["w"].T if need_input else None), grads
+
+
+def _conv_forward(h, layer, p, mask):
+    w = p["w"]
+    kh, kw = w.shape[2], w.shape[3]
+    _, _, pads = _conv_geometry(h.shape[2], h.shape[3], kh, kw, layer.stride, layer.padding)
+    cols, oh, ow = _im2col(h, kh, kw, layer.stride, pads)
+    out = _conv_apply(cols, w.reshape(w.shape[0], -1), p["b"], oh, ow)
+    return out, (cols, h.shape, oh, ow, pads)
+
+
+def _conv_backward(grad, cache, layer, p, need_input):
+    cols, x_shape, oh, ow, pads = cache
+    w = p["w"]
+    dmat = grad.reshape(grad.shape[0], w.shape[0], oh * ow)
+    # (OC, B*L) @ (B*L, K): tensordot copies the patches into that
+    # operand; one GEMM over the whole batch keeps the summation order
+    dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
+    grads = {"w": dk.reshape(w.shape), "b": grad.sum(axis=(0, 2, 3))}
+    if not need_input:
+        return None, grads
+    dcols = w.reshape(w.shape[0], -1).T @ dmat
+    return _col2im(dcols, x_shape, w.shape[2], w.shape[3], layer.stride, pads, oh, ow), grads
+
+
+def _pool_forward(h, layer, p, mask):
+    # running max over the window offsets; idx keeps the first to reach it
+    n, win = layer.size, _pool_view(h, layer.size)
+    out = win[:, :, :, 0, :, 0].copy()
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(n * n - 1))
+    for k in range(1, n * n):
+        cand = win[:, :, :, k // n, :, k % n]
+        np.copyto(idx, k, where=cand > out)
+        np.maximum(out, cand, out=out)
+    return out, (idx, h.shape)
+
+
+def _pool_backward(grad, cache, layer, p, need_input):
+    # each gradient goes to its window's winning offset; cropped rows and
+    # columns stay zero
+    idx, x_shape = cache
+    n = layer.size
+    dx = np.zeros(x_shape)
+    dwin = _pool_view(dx, n)
+    for k in range(n * n):
+        np.copyto(dwin[:, :, :, k // n, :, k % n], grad, where=idx == k)
+    return dx, {}
+
+
+def _relu_forward(h, layer, p, mask):
+    pos = h > 0.0
+    return h * pos, pos
+
+
+@dataclass(frozen=True)
+class TrainOp:
+    """The trainer's ops for one layer kind.
+
+    ``forward(h, layer, params, mask)`` returns the output and what the
+    reverse step needs; ``backward(grad, cache, layer, params, need_input)``
+    returns the input gradient (None unless need_input) and the parameter
+    gradients.
+    """
+
+    forward: Callable
+    backward: Callable
+
+
+# A softmax head is folded into the loss (_train_layers), so it has no op.
+TRAIN_OPS: dict[type, TrainOp] = {
+    DropoutSpec: TrainOp(
+        lambda h, l, p, mask: (h * mask, mask), lambda g, mask, l, p, need: (g * mask, {})
+    ),
+    DenseSpec: TrainOp(lambda h, l, p, mask: (h @ p["w"] + p["b"], h), _dense_backward),
+    Conv2DSpec: TrainOp(_conv_forward, _conv_backward),
+    MaxPool2DSpec: TrainOp(_pool_forward, _pool_backward),
+    ReluSpec: TrainOp(_relu_forward, lambda g, pos, l, p, need: (g * pos, {})),
+    FlattenSpec: TrainOp(
+        lambda h, l, p, mask: (h.reshape(h.shape[0], -1), h.shape),
+        lambda g, shape, l, p, need: (g.reshape(shape), {}),
+    ),
+}
+
+
+def _forward_cached(layers, params, x, masks):
+    """Forward through the stack caching what the reverse pass needs.
+
+    masks[i] holds the dropout mask for layer i (missing entries are drawn
+    beforehand by the caller).
+    """
+    h = x
+    caches = []
+    for i, layer in enumerate(layers):
+        h, cache = TRAIN_OPS[type(layer)].forward(h, layer, params[i], masks.get(i))
+        caches.append(cache)
+    return h, caches
+
+
 def _backward(layers, params, caches, grad):
     """Reverse pass down to the lowest layer with parameters; returns their gradients."""
     grads = [dict() for _ in layers]
     lowest = next((i for i, p in enumerate(params) if p), len(layers))
     for i in range(len(layers) - 1, lowest - 1, -1):
-        kind, cache = caches[i]
-        if kind == "dropout":
-            grad = grad * cache
-        elif kind == "dense":
-            x = cache
-            grads[i]["w"] = x.T @ grad
-            grads[i]["b"] = grad.sum(axis=0)
-            if i > lowest:
-                grad = grad @ params[i]["w"].T
-        elif kind == "conv2d":
-            cols, x_shape, oh, ow, pads, layer = cache
-            oc = params[i]["w"].shape[0]
-            kh, kw = params[i]["w"].shape[2], params[i]["w"].shape[3]
-            dmat = grad.reshape(grad.shape[0], oc, oh * ow)
-            # (OC, B*L) @ (B*L, K): tensordot copies the patches into that
-            # operand; one GEMM over the whole batch keeps the summation order
-            dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
-            grads[i]["w"] = dk.reshape(params[i]["w"].shape)
-            grads[i]["b"] = grad.sum(axis=(0, 2, 3))
-            if i > lowest:
-                dcols = params[i]["w"].reshape(oc, -1).T @ dmat
-                grad = _col2im(dcols, x_shape, kh, kw, layer.stride, pads, oh, ow)
-        elif kind == "maxpool2d":
-            # each gradient goes to its window's winning offset; cropped rows
-            # and columns stay zero
-            idx, x_shape, n = cache
-            dx = np.zeros(x_shape)
-            dwin = _pool_view(dx, n)
-            for k in range(n * n):
-                np.copyto(dwin[:, :, :, k // n, :, k % n], grad, where=idx == k)
-            grad = dx
-        elif kind == "relu":
-            grad = grad * cache
-        elif kind == "flatten":
-            grad = grad.reshape(cache)
+        op = TRAIN_OPS[type(layers[i])]
+        grad, grads[i] = op.backward(grad, caches[i], layers[i], params[i], i > lowest)
     return grads
 
 

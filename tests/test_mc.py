@@ -4,6 +4,7 @@ import pytest
 import momentprop as mp
 from momentprop.mc import estimate_moments, layer_oracle, mc_forward, sample_stream
 from momentprop.moments import MomentTensor
+from momentprop.network import forward_sample
 
 
 def dropout_dense_model(seed=0, rate=0.3):
@@ -33,15 +34,9 @@ class TestMcForward:
         model = dropout_dense_model()
         x = np.ones(4)
         batch = mc_forward(model, x, 10, seed=7)
-        from momentprop import network
-
         for k in (0, 3, 9):
-            xb, _ = network._as_batch(model, x)
-            out = network._run_arrays(
-                model, xb,
-                lambda h, layer, idx, k=k: mp.dropout_sample(h, layer, sample_stream(7, k, idx)),
-            )
-            assert np.array_equal(batch.outputs[k], out[0])
+            out = forward_sample(model, x, lambda idx, k=k: sample_stream(7, k, idx))
+            assert np.array_equal(batch.outputs[k], out)
 
     def test_matches_propagated_moments(self):
         model = dropout_dense_model(seed=3)

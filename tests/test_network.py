@@ -50,6 +50,21 @@ class TestModelSpec:
                 input_shape=(3,), task="regression", tau=None,
             )
 
+    def test_no_layer_may_follow_softmax(self):
+        # such a model used to build and run under det, then fail in forward_mp
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="follow softmax"):
+            mp.ModelSpec(
+                layers=(mp.DenseSpec(rng.normal(size=(3, 4)), np.zeros(4)), mp.DropoutSpec(0.2),
+                        mp.SoftmaxSpec(), mp.DenseSpec(rng.normal(size=(4, 1)), np.zeros(1))),
+                input_shape=(3,), task="regression", tau=1.0,
+            )
+
+    def test_unknown_layer_type(self):
+        with pytest.raises(TypeError, match="unknown layer spec"):
+            mp.ModelSpec(layers=(object(), mp.DenseSpec(np.ones((3, 1)), np.zeros(1))),
+                         input_shape=(3,), task="regression", tau=1.0)
+
     def test_layer_shapes(self):
         model = small_classifier()
         assert model.layer_shapes[-1] == (3,)
@@ -84,14 +99,6 @@ class TestForwardModes:
         est = mc_forward(model, x, 100_000, seed=3).moments()
         assert np.all(np.abs(mt.expectation - est.mean) <= 3 * est.standard_error_mean)
         assert np.all(np.abs(mt.variance - est.variance) <= 3 * est.standard_error_variance)
-
-    def test_mode_dispatch(self):
-        model = small_regressor()
-        x = np.zeros(3)
-        assert isinstance(mp.forward(model, x, mp.Deterministic()), np.ndarray)
-        assert isinstance(mp.forward(model, x, mp.MomentPropagation()), MomentTensor)
-        batch = mp.forward(model, x, mp.MCSample(4, seed=0))
-        assert batch.outputs.shape == (4, 1)
 
     def test_input_shape_mismatch(self):
         model = small_regressor()
@@ -324,6 +331,11 @@ class TestManifestValidation:
             (lambda m: entry_of(m, "maxpool2d").update(size=1), "invalid model"),
             (lambda m: m.update(layers={"0": {"kind": "relu"}}), "no layer list"),
             (lambda m: m.update(metadata=["seed", 1]), "invalid model"),
+            (lambda m: m.update(input_shape=[1, 8.5, 8]), "input_shape"),
+            (lambda m: m.update(input_shape=[True, 8, 8]), "input_shape"),
+            (lambda m: m.update(input_shape=[1, -8, 8]), "input_shape"),
+            (lambda m: m.update(input_shape=[1, 8, 0]), "input_shape"),
+            (lambda m: m.update(input_shape=64), "input_shape"),
         ],
     )
     def test_malformed_entry(self, tmp_path, edit, message):

@@ -280,28 +280,23 @@ def assert_bitwise(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+POOL = training.TRAIN_OPS[mp.MaxPool2DSpec]
+
+
 def pool_forward(x, n):
     """The trainer's pool output and the window offset it routes to."""
-    out, caches = training._forward_cached((mp.MaxPool2DSpec(n),), [{}], x, {})
-    return out, caches[0][1][0]
+    out, (idx, _) = POOL.forward(x, mp.MaxPool2DSpec(n), {}, None)
+    return out, idx
 
 
 def pool_input_grad(hmap, n, gout):
-    """The gradient the trainer's pool sends to its (H, W) input hmap.
-
-    A 1x1 conv over one-hot channels (channel c is 1 at pixel c) reproduces
-    hmap as the pool's input, so its kernel gradient is that input gradient.
-    """
-    hgt, wid = hmap.shape
-    kernel = hmap.reshape(1, hgt * wid, 1, 1).copy()
-    layers = (mp.Conv2DSpec(kernel, np.zeros(1), padding="valid"), mp.MaxPool2DSpec(n))
-    params = [{"w": kernel, "b": np.zeros(1)}, {}]
-    x = np.eye(hgt * wid).reshape(1, hgt * wid, hgt, wid)
-    out, caches = training._forward_cached(layers, params, x, {})
-    # equal values only: the conv's sums turn a -0.0 pixel into +0.0
-    np.testing.assert_array_equal(out, maxpool2d_det(hmap[None, None], mp.MaxPool2DSpec(n)))
-    grads = training._backward(layers, params, caches, gout)
-    return grads[0]["w"].reshape(hgt, wid)
+    """The gradient the trainer's pool sends to its (H, W) input hmap."""
+    spec = mp.MaxPool2DSpec(n)
+    out, cache = POOL.forward(hmap[None, None], spec, {}, None)
+    assert_bitwise(out, maxpool2d_det(hmap[None, None], spec))
+    dx, grads = POOL.backward(gout, cache, spec, {}, True)
+    assert grads == {}
+    return dx[0, 0]
 
 
 def reference_input_grad(hmap, n, gout):
