@@ -172,14 +172,20 @@ def _read_inputs(path) -> np.ndarray:
     if not path.exists():
         raise DataError(f"no such input file: {path}")
     if path.suffix == ".npy":
-        return np.load(path)
-    if path.suffix == ".csv":
+        rows = np.load(path)
+    elif path.suffix == ".csv":
         rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
-        try:
-            return np.asarray(rows, dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric input rows: {exc}") from exc
-    raise DataError(f"unsupported input format {path.suffix!r} (use .npy or .csv)")
+    else:
+        raise DataError(f"unsupported input format {path.suffix!r} (use .npy or .csv)")
+    try:
+        x = np.asarray(rows, dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{path}: non-numeric input rows: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        row = bad[0][0] if x.ndim else 0
+        raise DataError(f"{path}: input row {row} holds a non-finite value (NaN or inf)")
+    return x
 
 
 @click.group(cls=_MappedGroup)

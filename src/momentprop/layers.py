@@ -7,7 +7,9 @@
 
 Array layout is channels-first.  Every op accepts a single example at the
 layer's natural rank or the same with one leading batch axis.  All functions
-are pure given their spec; the only side channel is a thread-local counter of
+are pure given their spec, except that the elementwise det and sample ops
+write their result into ``out`` when one is given (numpy's ``out=``, which
+may be the input itself); the only side channel is a thread-local counter of
 negative-variance clamps kept for diagnostics.
 """
 
@@ -34,6 +36,11 @@ EPS_VAR = 1e-12
 # work: on NaN-free input the results and clamp counts are bitwise those of
 # one evaluation over the whole array.
 BLOCK_SIZE = 8192
+
+# dropout_sample, given a scratch array, draws its uniforms into consecutive
+# blocks of the scratch's size; walkers give it one scratch of at most this
+# many elements per call, so no mask array of an activation's size exists.
+DRAW_BLOCK = 65536
 
 # Variance of the logistic-vs-probit matching constant: sigma(x) ~ Phi(x/sqrt(8/pi)).
 _SIGMOID_SLOPE_VAR = 8.0 / np.pi
@@ -246,16 +253,38 @@ def _unbatch(x, squeeze: bool):
 # dropout
 
 
-def dropout_det(x, spec: DropoutSpec):
+def dropout_det(x, spec: DropoutSpec, out=None):
     """Deterministic dropout: rescale by the keep rate (non-inverted style)."""
-    return np.asarray(x, dtype=np.float64) * (1.0 - spec.rate)
+    return np.multiply(np.asarray(x, dtype=np.float64), 1.0 - spec.rate, out=out)
 
 
-def dropout_sample(x, spec: DropoutSpec, rng: np.random.Generator):
-    """Multiply each node by an independent Bernoulli(1-rate) draw, unscaled."""
+def dropout_sample(x, spec: DropoutSpec, rng: np.random.Generator, out=None, draws=None):
+    """Multiply each node by an independent Bernoulli(1-rate) draw, unscaled.
+
+    The uniforms are drawn into ``draws``, a 1-D float64 scratch array (a
+    new one of x's size if not given), block by block when ``x`` is larger;
+    the blocks continue one stream in C order, so the result is bitwise
+    that of one ``rng.random(x.shape)``.  A blocked result needs a
+    C-contiguous ``out``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    mask = rng.random(x.shape) >= spec.rate
-    return x * mask
+    if draws is None:
+        draws = np.empty(x.size)
+    if x.size <= draws.size:
+        uniforms = draws[: x.size].reshape(x.shape)
+        rng.random(out=uniforms)
+        return np.multiply(x, uniforms >= spec.rate, out=out)
+    if out is None:
+        out = np.empty(x.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("dropout_sample writes a blocked result only into a C-contiguous out")
+    x_flat, out_flat = x.reshape(-1), out.reshape(-1)
+    for start in range(0, x.size, draws.size):
+        stop = min(start + draws.size, x.size)
+        uniforms = draws[: stop - start]
+        rng.random(out=uniforms)
+        np.multiply(x_flat[start:stop], uniforms >= spec.rate, out=out_flat[start:stop])
+    return out
 
 
 def dropout_mp(mt: MomentTensor, spec: DropoutSpec) -> MomentTensor:
@@ -294,7 +323,9 @@ def dense_det(x, spec: DenseSpec):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.in_dim:
         raise ValueError(f"dense expects {spec.in_dim} inputs, got shape {x.shape}")
-    return x @ spec.weights + spec.bias
+    out = x @ spec.weights
+    out += spec.bias
+    return out
 
 
 def dense_mp(mt: MomentTensor, spec: DenseSpec) -> MomentTensor:
@@ -302,7 +333,8 @@ def dense_mp(mt: MomentTensor, spec: DenseSpec) -> MomentTensor:
     for the variance, assuming independent summands."""
     if mt.shape[-1] != spec.in_dim:
         raise ValueError(f"dense expects {spec.in_dim} inputs, got shape {mt.shape}")
-    e_out = mt.expectation @ spec.weights + spec.bias
+    e_out = mt.expectation @ spec.weights
+    e_out += spec.bias
     v_out = mt.variance @ spec.weights_sq
     return MomentTensor._unchecked(e_out, v_out)
 
@@ -388,8 +420,8 @@ def conv2d_mp(mt: MomentTensor, spec: Conv2DSpec) -> MomentTensor:
 # relu
 
 
-def relu_det(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+def relu_det(x, out=None):
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
 def relu_mp(mt: MomentTensor) -> MomentTensor:

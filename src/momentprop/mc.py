@@ -91,12 +91,15 @@ def mc_forward(model: network.ModelSpec, x, t: int, seed: int = 0) -> SampleBatc
     if not (isinstance(t, int) and t >= 1):
         raise ValueError(f"sample count must be an integer >= 1, got {t!r}")
     xb, squeeze = network._as_batch(model, x)
+    draws = network._DrawScratch(model, xb)  # shared by every pass of this call
     outputs = []
     for i in range(t):
         out = network._run_arrays(
             model,
             xb,
-            lambda h, layer, idx, i=i: dropout_sample(h, layer, sample_stream(seed, i, idx)),
+            lambda h, layer, idx, o, i=i: dropout_sample(
+                h, layer, sample_stream(seed, i, idx), o, draws.array
+            ),
         )
         outputs.append(out[0] if squeeze else out)
     return SampleBatch(outputs=np.stack(outputs, axis=0), t=t, seed=seed)

@@ -9,6 +9,7 @@ expectation/variance in a single pass.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .layers import (
+    DRAW_BLOCK,
     Conv2DSpec,
     DenseSpec,
     DropoutSpec,
@@ -127,11 +129,12 @@ class LayerKind:
     name: str  # the manifest's "kind"
     keys: tuple[str, ...]  # the other manifest keys, in file order
     out_shape: Callable  # (layer, input shape) -> output shape; ValueError if it cannot follow
-    det: Callable  # (batched array, layer) -> array
+    det: Callable  # (batched array, layer, out=None) -> array; only in_place kinds use out
     mp: Callable  # (MomentTensor, layer) -> MomentTensor, or probabilities after softmax
     build: Callable  # (manifest entry, tensors) -> layer
     tensors: Callable = lambda layer: []  # the weight tensors, in file order
     tensor_shapes: Callable = lambda entry: []  # their shapes, from a checked entry
+    in_place: bool = False  # elementwise: det may write into its input, given as out
 
     def entry(self, layer) -> dict:
         """The layer's manifest entry; a tuple is written as a list."""
@@ -145,12 +148,13 @@ class LayerKind:
 KINDS: dict[type, LayerKind] = {
     DropoutSpec: LayerKind(
         "dropout", ("rate",), _same_shape,
-        lambda h, l: dropout_det(h, l), lambda mt, l: dropout_mp(mt, l),
+        lambda h, l, out=None: dropout_det(h, l, out), lambda mt, l: dropout_mp(mt, l),
         lambda e, t: DropoutSpec(rate=float(e["rate"])),
+        in_place=True,
     ),
     DenseSpec: LayerKind(
         "dense", ("in_dim", "out_dim"), _dense_shape,
-        lambda h, l: dense_det(h, l), lambda mt, l: dense_mp(mt, l),
+        lambda h, l, out=None: dense_det(h, l), lambda mt, l: dense_mp(mt, l),
         lambda e, t: DenseSpec(weights=t[0], bias=t[1]),
         tensors=lambda l: [l.weights, l.bias],
         tensor_shapes=lambda e: [(e["in_dim"], e["out_dim"]), (e["out_dim"],)],
@@ -158,7 +162,7 @@ KINDS: dict[type, LayerKind] = {
     Conv2DSpec: LayerKind(
         "conv2d", ("out_channels", "in_channels", "kernel_size", "padding", "stride"),
         _conv_shape,
-        lambda h, l: conv2d_det(h, l), lambda mt, l: conv2d_mp(mt, l),
+        lambda h, l, out=None: conv2d_det(h, l), lambda mt, l: conv2d_mp(mt, l),
         lambda e, t: Conv2DSpec(
             kernel=t[0], bias=t[1], padding=e["padding"], stride=int(e["stride"])
         ),
@@ -169,16 +173,17 @@ KINDS: dict[type, LayerKind] = {
     ),
     MaxPool2DSpec: LayerKind(
         "maxpool2d", ("size",), _pool_shape,
-        lambda h, l: maxpool2d_det(h, l), lambda mt, l: maxpool2d_mp(mt, l),
+        lambda h, l, out=None: maxpool2d_det(h, l), lambda mt, l: maxpool2d_mp(mt, l),
         lambda e, t: MaxPool2DSpec(size=int(e["size"])),
     ),
     ReluSpec: LayerKind(
         "relu", (), _same_shape,
-        lambda h, l: relu_det(h), lambda mt, l: relu_mp(mt), lambda e, t: ReluSpec(),
+        lambda h, l, out=None: relu_det(h, out), lambda mt, l: relu_mp(mt),
+        lambda e, t: ReluSpec(), in_place=True,
     ),
     FlattenSpec: LayerKind(
         "flatten", (), lambda l, shape: (int(np.prod(shape)),),
-        lambda h, l: h.reshape(h.shape[0], -1),
+        lambda h, l, out=None: h.reshape(h.shape[0], -1),
         lambda mt, l: MomentTensor._unchecked(
             mt.expectation.reshape(len(mt.expectation), -1),
             mt.variance.reshape(len(mt.expectation), -1),
@@ -187,10 +192,18 @@ KINDS: dict[type, LayerKind] = {
     ),
     SoftmaxSpec: LayerKind(
         "softmax", (), _softmax_shape,
-        lambda h, l: softmax_det(h), lambda mt, l: softmax_mp(mt), lambda e, t: SoftmaxSpec(),
+        lambda h, l, out=None: softmax_det(h), lambda mt, l: softmax_mp(mt),
+        lambda e, t: SoftmaxSpec(),
     ),
 }
 _KINDS_BY_NAME = {kind.name: kind for kind in KINDS.values()}
+
+
+def _positive_sizes(values) -> bool:
+    """Whether every value is a positive integer; a bool or a float is not."""
+    return all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in values
+    )
 
 
 def kind_of(layer) -> LayerKind:
@@ -217,7 +230,10 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
+        shape = tuple(self.input_shape)
+        if not _positive_sizes(shape):
+            raise ValueError(f"input_shape {self.input_shape!r} is not a list of positive sizes")
+        object.__setattr__(self, "input_shape", tuple(int(d) for d in shape))
         if self.task not in (TASK_REGRESSION, TASK_CLASSIFICATION):
             raise ValueError(f"unknown task {self.task!r}")
         if not self.layers:
@@ -246,6 +262,32 @@ class ModelSpec:
     @property
     def output_shape(self) -> tuple[int, ...]:
         return self.layer_shapes[-1]
+
+    @cached_property
+    def det_steps(self) -> tuple[tuple, ...]:
+        """(layer, its kind's det op, in place) per layer, for the array walker.
+
+        A step runs in place when its kind is elementwise and its input is an
+        array the walk allocated itself: every kind but flatten returns a new
+        array (or its own input, when that was such an array), while flatten
+        returns a view of its input, which at the start of a walk is the
+        caller's array.
+        """
+        steps, owned = [], False
+        for layer in self.layers:
+            kind = kind_of(layer)
+            steps.append((layer, kind.det, owned and kind.in_place))
+            owned = owned or not isinstance(layer, FlattenSpec)
+        return tuple(steps)
+
+    @cached_property
+    def widest_dropout_input(self) -> int:
+        """Largest per-example input size of a dropout layer; 0 without dropout."""
+        inputs = (self.input_shape,) + self.layer_shapes[:-1]
+        return max(
+            (math.prod(s) for l, s in zip(self.layers, inputs) if isinstance(l, DropoutSpec)),
+            default=0,
+        )
 
     @cached_property
     def det_prefix(self) -> int:
@@ -302,16 +344,40 @@ def _as_batch(model: ModelSpec, x):
 
 def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None):
     """Walk the stack on a batched array with each kind's det op; with
-    ``sample``, dropout layers run sample(h, spec, index) instead."""
+    ``sample``, dropout layers run sample(h, spec, index, out) instead.
+
+    Steps that ``ModelSpec.det_steps`` marks in place get their input as
+    ``out``; with ``collect``, which keeps every layer's output, none does.
+    """
     h = xb
-    for idx, layer in enumerate(model.layers[:upto]):
-        if sample is not None and isinstance(layer, DropoutSpec):
-            h = sample(h, layer, idx)
+    for idx, (layer, det, in_place) in enumerate(model.det_steps[:upto]):
+        out = h if in_place and collect is None else None
+        if sample is not None and type(layer) is DropoutSpec:
+            h = sample(h, layer, idx, out)
         else:
-            h = KINDS[type(layer)].det(h, layer)
+            h = det(h, layer, out)
         if collect is not None:
             collect.append(h)
     return h
+
+
+class _DrawScratch:
+    """The one scratch array every mask draw of a sampling call shares (see
+    ``dropout_sample``): DRAW_BLOCK elements, or fewer for smaller inputs.
+
+    It is allocated at the first draw, after the walk's first activation.
+    Allocated up front, below the activations, it left the activations each
+    pass frees at the top of glibc's heap, which gave them back to the OS, so
+    their pages were faulted in again on every pass (T=30 on the toy MLP at
+    2048 rows: about 29k minor faults per call, against about 8k).
+    """
+
+    def __init__(self, model: ModelSpec, xb):
+        self.size = max(1, min(DRAW_BLOCK, len(xb) * model.widest_dropout_input))
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return np.empty(self.size)
 
 
 def _run_mp(model: ModelSpec, xb, upto=None, collect=None):
@@ -346,7 +412,10 @@ def forward_sample(model: ModelSpec, x, rng_for_layer, upto=None):
     """Stochastic forward pass; rng_for_layer(layer_index) must yield the
     generator used for that dropout layer's mask."""
     xb, squeeze = _as_batch(model, x)
-    out = _run_arrays(model, xb, lambda h, l, i: dropout_sample(h, l, rng_for_layer(i)), upto)
+    draws = _DrawScratch(model, xb)
+    out = _run_arrays(
+        model, xb, lambda h, l, i, o: dropout_sample(h, l, rng_for_layer(i), o, draws.array), upto
+    )
     return out[0] if squeeze else out
 
 
@@ -503,7 +572,7 @@ def _check_entry(entry) -> LayerKind:
     if "kernel_size" in kind.keys:
         kernel = entry["kernel_size"]
         sizes += kernel if isinstance(kernel, list) and len(kernel) == 2 else [kernel]
-    if not all(type(d) is int and d > 0 for d in sizes):
+    if not _positive_sizes(sizes):
         raise MalformedModelError(f"{name} layer entry has a size that is not a positive integer")
     return kind
 
@@ -558,7 +627,7 @@ def load_model(path) -> ModelSpec:
     kinds = [_check_entry(e) for e in entries]
     shapes = [kind.tensor_shapes(e) for kind, e in zip(kinds, entries)]
     input_shape = manifest.get("input_shape")
-    if not (isinstance(input_shape, list) and all(type(d) is int and d > 0 for d in input_shape)):
+    if not (isinstance(input_shape, list) and _positive_sizes(input_shape)):
         raise MalformedModelError(f"input_shape {input_shape!r} is not a list of positive sizes")
     expected = sum(int(np.prod(s)) for per_layer in shapes for s in per_layer) * 4
     blobs = body[manifest_len:]

@@ -183,6 +183,12 @@ def _col2im(dcols, x_shape, kh, kw, stride, pads, oh, ow):
     return dxp[:, :, pt : pt + h, pl : pl + w]
 
 
+def _dense_forward(h, layer, p, mask):
+    out = h @ p["w"]
+    out += p["b"]
+    return out, h
+
+
 def _dense_backward(grad, x, layer, p, need_input):
     grads = {"w": x.T @ grad, "b": grad.sum(axis=0)}
     return (grad @ p["w"].T if need_input else None), grads
@@ -259,7 +265,7 @@ TRAIN_OPS: dict[type, TrainOp] = {
     DropoutSpec: TrainOp(
         lambda h, l, p, mask: (h * mask, mask), lambda g, mask, l, p, need: (g * mask, {})
     ),
-    DenseSpec: TrainOp(lambda h, l, p, mask: (h @ p["w"] + p["b"], h), _dense_backward),
+    DenseSpec: TrainOp(_dense_forward, _dense_backward),
     Conv2DSpec: TrainOp(_conv_forward, _conv_backward),
     MaxPool2DSpec: TrainOp(_pool_forward, _pool_backward),
     ReluSpec: TrainOp(_relu_forward, lambda g, pos, l, p, need: (g * pos, {})),

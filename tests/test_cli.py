@@ -160,6 +160,38 @@ class TestPredictCommand:
         assert "in_dim" in result.output and "Traceback" not in result.output
 
 
+class TestNonFiniteInputs:
+    """predict and compare refuse NaN, inf and non-numeric input rows (exit
+    3) instead of returning NaN predictions or a traceback."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_predict_csv(self, runner, trained_model_path, tmp_path, cell):
+        csv = tmp_path / "x.csv"
+        csv.write_text(f"x\n0.5\n{cell}\n")
+        result = runner.invoke(cli, ["--out", str(tmp_path / "p"), "predict",
+                                     str(trained_model_path), "--input", str(csv)])
+        assert result.exit_code == 3, result.output
+        assert "row 1" in result.output and "Traceback" not in result.output
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    def test_non_numeric_npy(self, runner, trained_model_path, tmp_path):
+        npy = tmp_path / "x.npy"
+        np.save(npy, np.array([["0.5"], ["a"]]))
+        result = runner.invoke(cli, ["predict", str(trained_model_path), "--input", str(npy)])
+        assert result.exit_code == 3, result.output
+        assert "non-numeric" in result.output and "Traceback" not in result.output
+
+    def test_compare_npy(self, runner, trained_model_path, tmp_path):
+        xs = np.zeros((4, 1))
+        xs[2, 0] = np.inf
+        npy = tmp_path / "x.npy"
+        np.save(npy, xs)
+        result = runner.invoke(cli, ["--out", str(tmp_path / "c"), "compare",
+                                     str(trained_model_path), "--input", str(npy), "--t", "8"])
+        assert result.exit_code == 3, result.output
+        assert "row 2" in result.output and "Traceback" not in result.output
+
+
 class TestExperimentCommands:
     def test_uci_on_handmade_csv(self, runner, tmp_path):
         x, y = gen_tabular_regression(50, n_features=3, seed=0)

@@ -1,6 +1,8 @@
 """Properties of the per-kind layer records (``network.KINDS``) over random
 architectures that mix all seven layer kinds."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,15 +10,22 @@ from hypothesis import given, settings, strategies as st
 import momentprop as mp
 from momentprop import mc, network
 from momentprop.moments import MomentTensor
-from momentprop.network import kind_of, trace_det, trace_mp
+from momentprop.network import (
+    Deterministic,
+    MCSample,
+    MomentPropagation,
+    kind_of,
+    trace_det,
+    trace_mp,
+)
 from momentprop.training import override_dropout
 
 
 @st.composite
 def models(draw):
     """A valid model: an optional image stage of conv, pool, ReLU and dropout
-    layers closed by a flatten, then dense, ReLU and dropout layers, and a
-    regression output or a softmax head."""
+    layers closed by a flatten (possibly the first layer), then dense, ReLU
+    and dropout layers, and a regression output or a softmax head."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def ints(lo, hi):
@@ -29,7 +38,7 @@ def models(draw):
     if draw(st.booleans()):
         shape = input_shape = (ints(1, 3), ints(3, 9), ints(3, 9))
         image_ops = st.sampled_from(("conv", "pool", "relu", "dropout"))
-        for op in draw(st.lists(image_ops, min_size=2, max_size=6)):
+        for op in draw(st.lists(image_ops, max_size=6)):
             if op == "conv":
                 oc, k = ints(1, 4), ints(1, 3)
                 layer = mp.Conv2DSpec(
@@ -65,8 +74,67 @@ def models(draw):
     return mp.ModelSpec(tuple(layers), input_shape, "regression", tau=0.5 * ints(1, 8))
 
 
-def example_input(model, seed=0):
-    return np.random.default_rng(seed).standard_normal(model.input_shape)
+def example_input(model, seed=0, batch=None):
+    shape = model.input_shape if batch is None else (batch,) + model.input_shape
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def stack(input_shape, *layers):
+    """A regression model: the given layers, then a dense output."""
+    width = int(np.prod(input_shape))
+    head = mp.DenseSpec(np.linspace(-1.0, 1.0, width)[:, None], np.zeros(1))
+    return mp.ModelSpec(tuple(layers) + (head,), input_shape, "regression", tau=1.0)
+
+
+# stacks whose first layers hand the caller's array (or the x[None] view of a
+# single example, or a flatten view of either) to an elementwise layer
+EDGE_STACKS = {
+    "flatten-relu": stack((2, 3, 3), mp.FlattenSpec(), mp.ReluSpec()),
+    "flatten-dropout": stack((2, 3, 3), mp.FlattenSpec(), mp.DropoutSpec(0.5)),
+    "dropout-first": stack((5,), mp.DropoutSpec(0.5), mp.ReluSpec()),
+    "relu-first": stack((5,), mp.ReluSpec(), mp.DropoutSpec(0.5), mp.ReluSpec()),
+    "image-relu-first": stack((2, 3, 3), mp.ReluSpec(), mp.DropoutSpec(0.5), mp.FlattenSpec()),
+}
+
+
+def every_forward(model):
+    """Every public forward, each as a function of the input."""
+    stream = lambda i: mc.sample_stream(2, 0, i)  # noqa: E731
+    calls = {
+        "forward_det": lambda x: mp.forward_det(model, x),
+        "forward_mp": lambda x: mp.forward_mp(model, x),
+        "mc_forward": lambda x: mc.mc_forward(model, x, 3, seed=1),
+        "forward_sample": lambda x: network.forward_sample(model, x, stream),
+        "trace_det": lambda x: trace_det(model, x),
+        "trace_mp": lambda x: trace_mp(model, x),
+    }
+    for mode in (Deterministic(), MomentPropagation(), MCSample(3, seed=1)):
+        calls[f"predict-{type(mode).__name__}"] = lambda x, mode=mode: mp.predict(model, x, mode)
+    for k in range(1, len(model.layers)):
+        calls[f"forward_det-upto{k}"] = lambda x, k=k: mp.forward_det(model, x, upto=k)
+        calls[f"forward_sample-upto{k}"] = lambda x, k=k: network.forward_sample(
+            model, x, stream, upto=k
+        )
+    return calls
+
+
+def fresh_walk(model, xb, rng_for_layer=None):
+    """Each layer's output on a batch, every op making a new array."""
+    h, outs = xb, []
+    for idx, layer in enumerate(model.layers):
+        if rng_for_layer is not None and isinstance(layer, mp.DropoutSpec):
+            h = h * (rng_for_layer(idx).random(h.shape) >= layer.rate)
+        else:
+            h = kind_of(layer).det(h, layer)
+        outs.append(h)
+    return outs
+
+
+def assert_input_untouched(model, x):
+    before = x.copy()
+    for name, call in every_forward(model).items():
+        call(x)
+        assert x.tobytes() == before.tobytes(), f"{name} wrote into its input"
 
 
 class TestKindProperties:
@@ -100,6 +168,49 @@ class TestKindProperties:
             assert isinstance(moments, MomentTensor)
             assert moments.expectation.tobytes() == det.tobytes()
             assert not moments.variance.any()
+
+
+class TestInputOwnership:
+    """No forward writes into the caller's array, and in-place steps leave
+    every output bitwise that of a walk in which each op makes a new array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(models(), st.sampled_from((None, 1, 3)))
+    def test_no_forward_writes_into_its_input(self, model, batch):
+        assert_input_untouched(model, example_input(model, batch=batch))
+
+    @pytest.mark.parametrize("batch", [None, 1, 4])
+    @pytest.mark.parametrize("name", sorted(EDGE_STACKS))
+    def test_edge_stacks(self, name, batch):
+        model = EDGE_STACKS[name]
+        assert_input_untouched(model, example_input(model, batch=batch))
+        self.assert_walks_equal_fresh(model, example_input(model, seed=1, batch=batch))
+
+    @settings(max_examples=80, deadline=None)
+    @given(models(), st.sampled_from((None, 1, 3)))
+    def test_walks_equal_fresh_arrays(self, model, batch):
+        self.assert_walks_equal_fresh(model, example_input(model, batch=batch))
+
+    @staticmethod
+    def assert_walks_equal_fresh(model, x):
+        single = x.shape == model.input_shape
+        xb = x[None] if single else x
+        row = (lambda a: a[0]) if single else (lambda a: a)  # noqa: E731
+        outs = fresh_walk(model, xb)
+        for k, out in enumerate(outs, start=1):
+            assert mp.forward_det(model, x, upto=k).tobytes() == row(out).tobytes()
+            # mp runs its variance-free prefix through the same walker
+            if k <= model.det_prefix:
+                assert mp.forward_mp(model, x, upto=k).expectation.tobytes() == row(out).tobytes()
+        # a draw block of 5 splits every mask into several ragged blocks
+        with mock.patch.object(network, "DRAW_BLOCK", 5):
+            batch = mc.mc_forward(model, x, 3, seed=4)
+            sampled = network.forward_sample(model, x, lambda i: mc.sample_stream(4, 1, i))
+        for i in range(3):
+            ref = fresh_walk(model, xb, lambda idx, i=i: mc.sample_stream(4, i, idx))[-1]
+            assert batch.outputs[i].tobytes() == row(ref).tobytes()
+        ref = fresh_walk(model, xb, lambda idx: mc.sample_stream(4, 1, idx))[-1]
+        assert sampled.tobytes() == row(ref).tobytes()
 
 
 def every_kind_model(seed=0):

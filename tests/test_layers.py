@@ -64,6 +64,40 @@ class TestDropout:
         b = mp.dropout_sample(x, mp.DropoutSpec(0.5), np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("block", [1, 7, 64, 10**4])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_sample_blocked_draws_equal_one_draw(self, block, in_place):
+        # the uniforms drawn block by block into a scratch continue one
+        # stream: mask and product are bitwise those of one rng.random call
+        x = np.random.default_rng(3).standard_normal((4, 5, 3, 3))
+        x[0, 0, 0] = -0.0
+        spec = mp.DropoutSpec(0.4)
+        whole = mp.dropout_sample(x, spec, np.random.default_rng(9))
+        x_in = x.copy()
+        out = x_in if in_place else None
+        blocked = mp.dropout_sample(x_in, spec, np.random.default_rng(9), out, np.empty(block))
+        assert blocked.tobytes() == whole.tobytes()
+        assert (blocked is x_in) == in_place
+        assert in_place or x_in.tobytes() == x.tobytes()
+
+    def test_sample_blocked_draws_need_a_contiguous_out(self):
+        out = np.empty((6, 4))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            mp.dropout_sample(np.ones((6, 2)), mp.DropoutSpec(0.5), np.random.default_rng(0),
+                              out, np.empty(5))
+
+    @pytest.mark.parametrize("op", [
+        lambda x, out: mp.dropout_det(x, mp.DropoutSpec(0.3), out),
+        lambda x, out: mp.relu_det(x, out),
+        lambda x, out: mp.dropout_sample(x, mp.DropoutSpec(0.3), np.random.default_rng(2), out),
+    ])
+    def test_elementwise_ops_write_into_out(self, op):
+        x = np.random.default_rng(4).standard_normal((3, 7))
+        expected = op(x, None)
+        inplace = x.copy()
+        assert op(inplace, inplace) is inplace
+        assert inplace.tobytes() == expected.tobytes()
+
     def test_sample_mean_matches_keep_rate(self):
         est = layer_oracle(mp.DropoutSpec(0.3), np.array([1.0]), 10**6, seed=5)
         assert abs(est.mean[0] - 0.7) <= 3 * est.standard_error_mean[0]

@@ -38,6 +38,29 @@ class TestMcForward:
             out = forward_sample(model, x, lambda idx, k=k: sample_stream(7, k, idx))
             assert np.array_equal(batch.outputs[k], out)
 
+    def test_one_draw_scratch_per_call(self, monkeypatch):
+        """Every mask draw of one call goes through one scratch array of at
+        most DRAW_BLOCK elements; each call gets its own, so concurrent
+        calls on one model share nothing."""
+        from momentprop import layers, mc
+
+        model = mp.mlp_regression(1, hidden=(300, 200), dropout_rate=0.3, seed=0, tau=1.0)
+        seen = []
+
+        def spy(h, layer, rng, out=None, draws=None):
+            seen.append(draws)
+            return layers.dropout_sample(h, layer, rng, out, draws)
+
+        monkeypatch.setattr(mc, "dropout_sample", spy)
+        x = np.linspace(-1.0, 1.0, 400)[:, None]
+        mc_forward(model, x, 3, seed=0)
+        first = seen[0]
+        assert len(seen) == 6 and all(d is first for d in seen)
+        assert first.size == min(layers.DRAW_BLOCK, 400 * 300)
+        seen.clear()
+        mc_forward(model, x[:2], 3, seed=0)
+        assert seen[0] is not first and seen[0].size == 2 * 300
+
     def test_matches_propagated_moments(self):
         model = dropout_dense_model(seed=3)
         x = np.array([1.0, -0.5, 2.0, 0.3])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -64,6 +65,19 @@ class TestModelSpec:
         with pytest.raises(TypeError, match="unknown layer spec"):
             mp.ModelSpec(layers=(object(), mp.DenseSpec(np.ones((3, 1)), np.zeros(1))),
                          input_shape=(3,), task="regression", tau=1.0)
+
+    @pytest.mark.parametrize("shape", [(8.5,), (True,), (0,), (-3,), (3, 2.0)])
+    def test_input_shape_must_be_positive_integers(self, shape):
+        # (8.5,) used to become an 8-input model through int()
+        layer = mp.DenseSpec(np.ones((8, 1)), np.zeros(1))
+        with pytest.raises(ValueError, match="input_shape"):
+            mp.ModelSpec(layers=(layer,), input_shape=shape, task="regression", tau=1.0)
+
+    def test_input_shape_accepts_numpy_integers(self):
+        layer = mp.DenseSpec(np.ones((8, 1)), np.zeros(1))
+        model = mp.ModelSpec(layers=(layer,), input_shape=np.array([8]), task="regression",
+                             tau=1.0)
+        assert model.input_shape == (8,) and type(model.input_shape[0]) is int
 
     def test_layer_shapes(self):
         model = small_classifier()
@@ -186,6 +200,45 @@ class TestVarianceFreePrefix:
         assert np.array_equal(out.expectation, tm[-1].expectation)
         assert np.array_equal(out.variance, tm[-1].variance)
         assert np.array_equal(mp.forward_mp(model, x, upto=0).expectation, x)
+
+
+class TestWalkerMemory:
+    """The det and sampled walkers run ReLU and dropout in place on arrays
+    they allocated, so a pass of the toy 3x256 MLP holds about two
+    activations at once (three before in-place ops); tracemalloc counts the
+    bytes numpy asks for, whatever the host's allocator does with them."""
+
+    @staticmethod
+    def toy():
+        model = mp.mlp_regression(1, hidden=(256, 256, 256), dropout_rate=0.3, seed=0, tau=100.0)
+        return model, np.linspace(-3.0, 3.0, 2048)[:, None]
+
+    @pytest.mark.parametrize("name", ["forward_det", "mc_forward"])
+    def test_peak_traced_memory(self, name):
+        model, x = self.toy()
+        call = {
+            "forward_det": lambda: mp.forward_det(model, x),
+            "mc_forward": lambda: mc_forward(model, x, 1, seed=0),  # one pass
+        }[name]
+        call()  # fill the lazily built weight caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        activations = peak / (len(x) * 256 * 8)
+        print(f"{name}: peak traced memory {activations:.3f} activations of 2048x256 float64")
+        assert activations <= 2.2
+
+    def test_trace_det_equals_upto(self):
+        # trace_det keeps every layer's output, so it runs nothing in place;
+        # forward_det(upto=k) does, and must stop at the same values
+        model, x = self.toy()
+        for xs, row in ((x[:64], 0), (x[5], ...)):
+            for k, entry in enumerate(trace_det(model, xs), start=1):
+                assert entry.tobytes() == mp.forward_det(model, xs, upto=k)[row].tobytes()
 
 
 class TestPredict:
