@@ -42,6 +42,12 @@ BLOCK_SIZE = 8192
 # many elements per call, so no mask array of an activation's size exists.
 DRAW_BLOCK = 65536
 
+# A sampling call whose masks have at most this many elements each gets no
+# scratch: a mask that small comes off malloc's free lists, and drawing it
+# fresh costs less than slicing and reshaping a scratch view (about 0.3 us of
+# a 3.5 us draw on 256 elements; the two cost the same at about 4096).
+FRESH_DRAW = 4096
+
 # Variance of the logistic-vs-probit matching constant: sigma(x) ~ Phi(x/sqrt(8/pi)).
 _SIGMOID_SLOPE_VAR = 8.0 / np.pi
 
@@ -261,15 +267,15 @@ def dropout_det(x, spec: DropoutSpec, out=None):
 def dropout_sample(x, spec: DropoutSpec, rng: np.random.Generator, out=None, draws=None):
     """Multiply each node by an independent Bernoulli(1-rate) draw, unscaled.
 
-    The uniforms are drawn into ``draws``, a 1-D float64 scratch array (a
-    new one of x's size if not given), block by block when ``x`` is larger;
-    the blocks continue one stream in C order, so the result is bitwise
-    that of one ``rng.random(x.shape)``.  A blocked result needs a
+    Without ``draws`` the mask is one ``rng.random(x.shape)``.  Given
+    ``draws``, a 1-D float64 scratch array, the uniforms are drawn into it,
+    block by block when ``x`` is larger; the blocks continue one stream in C
+    order, so the result is bitwise the same.  A blocked result needs a
     C-contiguous ``out``.
     """
     x = np.asarray(x, dtype=np.float64)
     if draws is None:
-        draws = np.empty(x.size)
+        return np.multiply(x, rng.random(x.shape) >= spec.rate, out=out)
     if x.size <= draws.size:
         uniforms = draws[: x.size].reshape(x.shape)
         rng.random(out=uniforms)

@@ -2,25 +2,146 @@
 validate every propagated moment.
 
 Reproducibility contract: each (sample index, dropout layer index) pair gets
-its own counter-derived RNG stream from the run seed, so results are
-bit-identical no matter how or in what order the samples are evaluated.
+its own RNG stream keyed by the run seed, so results are bit-identical no
+matter how or in what order the samples are evaluated.  A key is the four
+words ``np.random.SeedSequence(entropy=seed, spawn_key=(sample, layer))``
+would hand PCG64; ``stream_keys`` derives many at once, in one vectorized
+pass, and ``sample_stream`` one.  ``mc_forward`` calls ``stream_keys`` and
+``dropout_sample`` through their module-level names, so a wrapper assigned
+to either name sees every call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import network
 from .layers import Conv2DSpec, DropoutSpec, MaxPool2DSpec, _conv_geometry, dropout_sample
 from .moments import MomentTensor
 
+# SeedSequence's hash, O'Neill's seed_seq_fe (numpy.random.bit_generator):
+# 32-bit words, a 4-word pool, one multiplier sequence for mixing entropy in
+# and one for drawing words out.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+# passes whose keys one stream_keys call of mc_forward derives: T=30 is one
+# call, and T=1e5 never holds the whole key table
+_KEY_BLOCK = 1024
+
+
+def _constants(start: int, mult: int):
+    """The (xor, multiplier) pair of each successive step of the hash."""
+    h = start
+    while True:
+        nxt = h * mult & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+_OUT_XOR, _OUT_MUL = np.array(
+    [c for c, _ in zip(_constants(_INIT_B, _MULT_B), range(2 * _POOL))], np.uint32
+).T
+_OUT_WORDS = np.arange(2 * _POOL) % _POOL  # generate_state cycles through the pool
+
+
+def _seed_pool(seed: int):
+    """The pool after mixing in the seed's 32-bit words (zero-padded to the
+    pool size, as SeedSequence pads when a spawn key follows), and the
+    hash's constants for the words mixed in after them."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    consts = _constants(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        xor, mul = next(consts)
+        value = (value ^ xor) * mul & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return np.array(pool, np.uint32), consts
+
+
+def _mix_in(pool, words, consts):
+    """Mix one more spawn-key word of every key into each pool word: the
+    same uint32 arithmetic as the scalar hash, broadcast over keys."""
+    xor, mul = np.array([next(consts) for _ in range(_POOL)], np.uint32).T
+    hashed = (words[..., None] ^ xor) * mul
+    hashed ^= hashed >> 16
+    mixed = pool * np.uint32(_MIX_L) - hashed * np.uint32(_MIX_R)
+    return mixed ^ (mixed >> 16)
+
+
+def _index_words(indices, what: str) -> np.ndarray:
+    words = [operator.index(i) for i in indices]
+    if words and (min(words) < 0 or max(words) > _MASK32):
+        raise ValueError(f"{what} indices must lie in [0, 2**32), got {indices!r}")
+    return np.array(words, np.uint32)
+
+
+def stream_keys(seed: int, samples, layers) -> np.ndarray:
+    """PCG64 seed words of the stream of every (sample, layer) pair.
+
+    Entry ``[a, b]`` of the ``(len(samples), len(layers), 4)`` uint64 result
+    equals ``np.random.SeedSequence(entropy=seed, spawn_key=(samples[a],
+    layers[b])).generate_state(4, np.uint64)``.  The seed (any integer >= 0)
+    is mixed in once, in Python ints; the two spawn-key words and the output
+    hash run as numpy uint32 operations over all pairs at once.  Each index
+    is one 32-bit word of the key, so indices must be below 2**32.
+    """
+    pool, consts = _seed_pool(network._check_seed(seed))
+    pool = _mix_in(pool, _index_words(samples, "sample")[:, None], consts)
+    pool = _mix_in(pool, _index_words(layers, "layer")[None, :], consts)
+    out = pool[..., _OUT_WORDS] ^ _OUT_XOR
+    out *= _OUT_MUL
+    out ^= out >> 16
+    keys = np.empty(pool.shape, np.uint64)  # words pair up little-endian
+    keys[...] = out[..., 1::2]
+    keys <<= np.uint64(32)
+    keys |= out[..., 0::2]
+    return keys
+
+
+class _StreamKey(ISeedSequence):
+    """Hands PCG64 a key's four precomputed words.  It cannot spawn: a
+    stream's generator carries no ``SeedSequence``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL or dtype is not np.uint64:
+            raise ValueError("a stream key holds exactly 4 uint64 words")
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_StreamKey(words)))
+
 
 def sample_stream(seed: int, sample_index: int, layer_index: int) -> np.random.Generator:
     """Independent generator keyed by (seed, sample, layer)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(sample_index, layer_index))
-    return np.random.default_rng(ss)
+    return _generator(stream_keys(seed, (sample_index,), (layer_index,))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -86,22 +207,27 @@ def mc_forward(model: network.ModelSpec, x, t: int, seed: int = 0) -> SampleBatc
     """T stochastic forward passes with fresh Bernoulli masks per pass.
 
     Deterministic given (model, x, t, seed) and independent of evaluation
-    order, since every pass pulls its masks from its own keyed stream.
+    order, since every pass pulls its masks from its own keyed stream.  The
+    seed is any integer >= 0; the first ``stream_keys`` call checks it,
+    before any pass runs.
     """
     if not (isinstance(t, int) and t >= 1):
         raise ValueError(f"sample count must be an integer >= 1, got {t!r}")
     xb, squeeze = network._as_batch(model, x)
     draws = network._DrawScratch(model, xb)  # shared by every pass of this call
+    dropouts = [i for i, layer in enumerate(model.layers) if type(layer) is DropoutSpec]
+    column = {idx: c for c, idx in enumerate(dropouts)}
     outputs = []
-    for i in range(t):
-        out = network._run_arrays(
-            model,
-            xb,
-            lambda h, layer, idx, o, i=i: dropout_sample(
-                h, layer, sample_stream(seed, i, idx), o, draws.array
-            ),
-        )
-        outputs.append(out[0] if squeeze else out)
+    for start in range(0, t, _KEY_BLOCK):
+        for keys in stream_keys(seed, range(start, min(start + _KEY_BLOCK, t)), dropouts):
+            out = network._run_arrays(
+                model,
+                xb,
+                lambda h, layer, idx, o, keys=keys: dropout_sample(
+                    h, layer, _generator(keys[column[idx]]), o, draws.array
+                ),
+            )
+            outputs.append(out[0] if squeeze else out)
     return SampleBatch(outputs=np.stack(outputs, axis=0), t=t, seed=seed)
 
 

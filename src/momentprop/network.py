@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ import numpy as np
 
 from .layers import (
     DRAW_BLOCK,
+    FRESH_DRAW,
     Conv2DSpec,
     DenseSpec,
     DropoutSpec,
@@ -323,6 +325,20 @@ class MCSample:
     def __post_init__(self):
         if not (isinstance(self.t, int) and self.t >= 1):
             raise ValueError(f"sample count must be an integer >= 1, got {self.t!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> int:
+    """A sampling seed as a Python int: any integer >= 0, numpy integers and
+    ints above 2**64 included.  Anything else raises TypeError (None, floats)
+    or ValueError (negative)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer >= 0, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -334,12 +350,23 @@ ForwardMode = Deterministic | MCSample | MomentPropagation
 
 
 def _as_batch(model: ModelSpec, x):
+    """The input as a float64 batch and whether it was a single example.
+
+    Every forward checks its input here, once: the shape must match the
+    model and every entry must be finite (NaN or inf would come out as NaN
+    outputs, with RuntimeWarnings from the first matmul).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape == model.input_shape:
-        return x[None, ...], True
-    if x.ndim == len(model.input_shape) + 1 and x.shape[1:] == model.input_shape:
-        return x, False
-    raise ValueError(f"input shape {x.shape} does not match model input {model.input_shape}")
+        xb, single = x[None, ...], True
+    elif x.ndim == len(model.input_shape) + 1 and x.shape[1:] == model.input_shape:
+        xb, single = x, False
+    else:
+        raise ValueError(f"input shape {x.shape} does not match model input {model.input_shape}")
+    if not np.isfinite(x).all():
+        bad = x.size - np.count_nonzero(np.isfinite(x))
+        raise ValueError(f"input holds {bad} non-finite entries (NaN or inf); inputs must be finite")
+    return xb, single
 
 
 def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None):
@@ -363,7 +390,8 @@ def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None):
 
 class _DrawScratch:
     """The one scratch array every mask draw of a sampling call shares (see
-    ``dropout_sample``): DRAW_BLOCK elements, or fewer for smaller inputs.
+    ``dropout_sample``): DRAW_BLOCK elements, or fewer for smaller inputs,
+    and None (each mask drawn fresh) when no mask exceeds FRESH_DRAW.
 
     It is allocated at the first draw, after the walk's first activation.
     Allocated up front, below the activations, it left the activations each
@@ -373,11 +401,11 @@ class _DrawScratch:
     """
 
     def __init__(self, model: ModelSpec, xb):
-        self.size = max(1, min(DRAW_BLOCK, len(xb) * model.widest_dropout_input))
+        self.widest = len(xb) * model.widest_dropout_input
 
     @cached_property
-    def array(self) -> np.ndarray:
-        return np.empty(self.size)
+    def array(self) -> np.ndarray | None:
+        return np.empty(min(DRAW_BLOCK, self.widest)) if self.widest > FRESH_DRAW else None
 
 
 def _run_mp(model: ModelSpec, xb, upto=None, collect=None):

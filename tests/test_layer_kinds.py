@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import momentprop as mp
 from momentprop import mc, network
@@ -202,15 +203,19 @@ class TestInputOwnership:
             # mp runs its variance-free prefix through the same walker
             if k <= model.det_prefix:
                 assert mp.forward_mp(model, x, upto=k).expectation.tobytes() == row(out).tobytes()
-        # a draw block of 5 splits every mask into several ragged blocks
-        with mock.patch.object(network, "DRAW_BLOCK", 5):
-            batch = mc.mc_forward(model, x, 3, seed=4)
-            sampled = network.forward_sample(model, x, lambda i: mc.sample_stream(4, 1, i))
-        for i in range(3):
-            ref = fresh_walk(model, xb, lambda idx, i=i: mc.sample_stream(4, i, idx))[-1]
-            assert batch.outputs[i].tobytes() == row(ref).tobytes()
-        ref = fresh_walk(model, xb, lambda idx: mc.sample_stream(4, 1, idx))[-1]
-        assert sampled.tobytes() == row(ref).tobytes()
+        refs = [fresh_walk(model, xb, lambda idx, i=i: mc.sample_stream(4, i, idx))[-1]
+                for i in range(3)]
+        # masks this small are drawn fresh; with a draw block of 5 and no
+        # fresh-draw size, every mask spans several ragged scratch blocks
+        for block, fresh in ((network.DRAW_BLOCK, network.FRESH_DRAW), (5, 0)):
+            with mock.patch.object(network, "DRAW_BLOCK", block), mock.patch.object(
+                network, "FRESH_DRAW", fresh
+            ):
+                batch = mc.mc_forward(model, x, 3, seed=4)
+                sampled = network.forward_sample(model, x, lambda i: mc.sample_stream(4, 1, i))
+            for i in range(3):
+                assert batch.outputs[i].tobytes() == row(refs[i]).tobytes()
+            assert sampled.tobytes() == row(refs[1]).tobytes()
 
 
 def every_kind_model(seed=0):
@@ -259,10 +264,11 @@ class TestWalkersCallModuleNames:
     def test_mc(self, monkeypatch):
         model, x = every_kind_model(), np.ones((2, 1, 4, 4))
         det_calls = self.wrap(monkeypatch, network, self.DET)
-        mc_calls = self.wrap(monkeypatch, mc, ("dropout_sample", "sample_stream"))
+        mc_calls = self.wrap(monkeypatch, mc, ("dropout_sample", "stream_keys"))
         mc.mc_forward(model, x, 3, seed=0)
         assert det_calls == {**dict.fromkeys(self.DET, 3), "dropout_det": 0}
-        assert mc_calls == {"dropout_sample": 3, "sample_stream": 3}
+        # one key derivation for all three passes
+        assert mc_calls == {"dropout_sample": 3, "stream_keys": 1}
 
     @pytest.mark.parametrize("layer", [mp.ReluSpec(), mp.DenseSpec(np.ones((3, 2)), np.zeros(2))])
     def test_layer_oracle_uses_det(self, monkeypatch, layer):
@@ -270,3 +276,54 @@ class TestWalkersCallModuleNames:
         calls = self.wrap(monkeypatch, network, (name,))
         mc.layer_oracle(layer, MomentTensor(np.ones(3), np.ones(3)), 10, chunk_size=4)
         assert calls[name] == 3
+
+
+class TestPropagationProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(models(), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 30.0)))
+    def test_mp_variance_finite_and_nonnegative_at_every_layer(self, model, seed, scale):
+        x = scale * example_input(model, seed=seed)
+        for layer, out in zip(model.layers, trace_mp(model, x)):
+            if isinstance(out, MomentTensor):
+                assert np.isfinite(out.expectation).all() and np.isfinite(out.variance).all()
+                assert (out.variance >= 0.0).all(), kind_of(layer).name
+            else:  # a softmax head's probabilities
+                assert np.isfinite(out).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hnp.arrays(np.float64, hnp.array_shapes(max_dims=4, max_side=5),
+                   elements=st.floats(-1e100, 1e100)),
+        st.booleans(),
+    )
+    def test_rate_zero_dropout_is_the_identity(self, x, in_place):
+        spec = mp.DropoutSpec(0.0)
+
+        def run(op):
+            arg = x.copy()
+            return op(arg, arg if in_place else None)
+
+        assert run(lambda a, o: mp.dropout_det(a, spec, o)).tobytes() == x.tobytes()
+        for draws in (None, np.empty(3)):
+            sampled = run(lambda a, o: mp.dropout_sample(a, spec, np.random.default_rng(0), o,
+                                                         draws))
+            assert sampled.tobytes() == x.tobytes()
+        variance = np.abs(x[::-1])
+        moments = mp.dropout_mp(MomentTensor(x, variance), spec)
+        assert moments.expectation.tobytes() == x.tobytes()
+        assert moments.variance.tobytes() == variance.tobytes()
+
+
+class TestNonFiniteInputs:
+    """Every forward refuses NaN and inf input entries with a ValueError that
+    counts them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(models(), st.sampled_from((None, 1, 3)), st.sampled_from((np.nan, np.inf, -np.inf)),
+           st.integers(0, 10**6))
+    def test_every_forward_refuses_non_finite_input(self, model, batch, bad, where):
+        x = example_input(model, batch=batch)
+        x.flat[where % x.size] = bad
+        for name, call in every_forward(model).items():
+            with pytest.raises(ValueError, match="1 non-finite"):
+                call(x)

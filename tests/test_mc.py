@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentprop as mp
 from momentprop.mc import estimate_moments, layer_oracle, mc_forward, sample_stream
@@ -41,7 +42,8 @@ class TestMcForward:
     def test_one_draw_scratch_per_call(self, monkeypatch):
         """Every mask draw of one call goes through one scratch array of at
         most DRAW_BLOCK elements; each call gets its own, so concurrent
-        calls on one model share nothing."""
+        calls on one model share nothing.  A call whose masks are all at
+        most FRESH_DRAW elements draws each one fresh instead."""
         from momentprop import layers, mc
 
         model = mp.mlp_regression(1, hidden=(300, 200), dropout_rate=0.3, seed=0, tau=1.0)
@@ -58,8 +60,11 @@ class TestMcForward:
         assert len(seen) == 6 and all(d is first for d in seen)
         assert first.size == min(layers.DRAW_BLOCK, 400 * 300)
         seen.clear()
+        mc_forward(model, x[:20], 3, seed=0)
+        assert seen[0] is not first and seen[0].size == 20 * 300
+        seen.clear()
         mc_forward(model, x[:2], 3, seed=0)
-        assert seen[0] is not first and seen[0].size == 2 * 300
+        assert 2 * 300 <= layers.FRESH_DRAW and len(seen) == 6 and all(d is None for d in seen)
 
     def test_matches_propagated_moments(self):
         model = dropout_dense_model(seed=3)
@@ -72,6 +77,76 @@ class TestMcForward:
     def test_invalid_t(self):
         with pytest.raises(ValueError):
             mc_forward(dropout_dense_model(), np.ones(4), 0)
+
+    @pytest.mark.parametrize("seed, error", [
+        (None, TypeError), (1.5, TypeError), ("3", TypeError), (-1, ValueError),
+    ])
+    def test_bad_seed_fails_before_any_pass(self, monkeypatch, seed, error):
+        from momentprop import mc
+
+        passes = []
+        monkeypatch.setattr(mc.network, "_run_arrays", lambda *a, **k: passes.append(a))
+        with pytest.raises(error, match="seed must be an integer >= 0"):
+            mc_forward(dropout_dense_model(), np.ones(4), 3, seed=seed)
+        with pytest.raises(error, match="seed must be an integer >= 0"):
+            sample_stream(seed, 0, 0)
+        with pytest.raises(error, match="seed must be an integer >= 0"):
+            mp.MCSample(3, seed=seed)
+        assert passes == []
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), 2**70])
+    def test_numpy_and_large_integer_seeds(self, seed):
+        model, x = dropout_dense_model(), np.ones(4)
+        batch = mc_forward(model, x, 4, seed=seed)
+        assert np.array_equal(batch.outputs, mc_forward(model, x, 4, seed=int(seed)).outputs)
+        mp.MCSample(4, seed=seed)
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 17]),
+                   st.integers(0, 2**140))
+_INDICES = st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+                    max_size=4)
+
+
+class TestStreamKeys:
+    """The keyed streams are numpy's SeedSequence streams, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SEEDS, _INDICES, _INDICES)
+    def test_keys_and_draws_equal_seed_sequence(self, seed, samples, layers):
+        from momentprop import mc
+
+        keys = mc.stream_keys(seed, samples, layers)
+        assert keys.shape == (len(samples), len(layers), 4) and keys.dtype == np.uint64
+        for a, sample in enumerate(samples):
+            for b, layer in enumerate(layers):
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(sample, layer))
+                assert np.array_equal(keys[a, b], ss.generate_state(4, np.uint64))
+                ref = np.random.default_rng(ss).random(6)
+                assert np.array_equal(mc._generator(keys[a, b]).random(6), ref)
+                assert np.array_equal(sample_stream(seed, sample, layer).random(6), ref)
+
+    def test_mc_forward_blocks_of_passes_equal_one_table(self, monkeypatch):
+        from momentprop import mc
+
+        model, x = dropout_dense_model(), np.ones(4)
+        whole = mc_forward(model, x, 7, seed=3)
+        monkeypatch.setattr(mc, "_KEY_BLOCK", 3)
+        assert np.array_equal(mc_forward(model, x, 7, seed=3).outputs, whole.outputs)
+
+    @pytest.mark.parametrize("samples, layers, error", [
+        ([2**32], [0], ValueError), ([0], [-1], ValueError), ([1.0], [0], TypeError),
+    ])
+    def test_indices_are_32_bit_integers(self, samples, layers, error):
+        from momentprop import mc
+
+        with pytest.raises(error):
+            mc.stream_keys(0, samples, layers)
+
+    def test_a_stream_cannot_spawn(self):
+        gen = sample_stream(0, 1, 2)
+        with pytest.raises(TypeError):
+            gen.spawn(1)
 
 
 class TestEstimateMoments:
