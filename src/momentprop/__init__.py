@@ -7,7 +7,7 @@ engine used to validate every propagated moment, a minibatch trainer, an
 uncertainty metrics suite, and an experiment CLI.
 """
 
-from .moments import GaussianScalar, MomentTensor, product_variance, std_normal_cdf, std_normal_pdf
+from .moments import MomentTensor, std_normal_cdf
 from .layers import (
     Conv2DSpec,
     DenseSpec,
@@ -25,7 +25,6 @@ from .layers import (
     dropout_sample,
     maxpool2d_det,
     maxpool2d_mp,
-    maxpool_pair,
     relu_det,
     relu_mp,
     softmax_det,

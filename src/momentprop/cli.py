@@ -91,6 +91,15 @@ def _resolve_data_path(path, data_dir):
 
 
 def _dataset_from_config(spec: dict, seed: int, data_dir=None):
+    """The dataset a config names; arguments the generators refuse (a
+    ValueError or TypeError) are data errors."""
+    try:
+        return _build_dataset(spec, seed, data_dir)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"bad dataset config: {exc}") from exc
+
+
+def _build_dataset(spec: dict, seed: int, data_dir):
     kind = spec.get("kind")
     if kind == "toy":
         ds = gen_toy_regression(

@@ -2,6 +2,13 @@
 
 Generators are bit-reproducible under a fixed seed, splits are disjoint and
 exhaustive, and regression standardization uses train-split statistics only.
+
+``gen_synthetic_images`` consumes its generator stream image by image, class
+0 first: per image one block of uniforms (the amplitude, then the class's
+pattern parameters in a fixed order), then the image's size x size block of
+standard-normal noise; one permutation of all images comes last.  It computes
+the images one class at a time, and its datasets are byte-identical to those
+of the per-image version pinned in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .network import _positive_sizes
 
 TRAIN, VAL, TEST = "train", "val", "test"
 _TAGS = (TRAIN, VAL, TEST)
@@ -268,63 +277,115 @@ def gen_tabular_regression(
 
 # ---------------------------------------------------------------------------
 # synthetic images (desk-scale image classification benchmark)
+#
+# Each class is a parametric pattern with per-example jitter.  Jitter ranges
+# are wide enough that neighbouring classes overlap for some draws (bars vs.
+# bands vs. gradients), leaving irreducible confusion that keeps predictive
+# uncertainty meaningful while class means stay separated.
+#
+# A pattern is evaluated for all images of a class at once on the coordinates
+# u (down the rows, an (S, 1) column) and v (across the columns, a (1, S) row).
+# Every step is elementwise and in the order of the per-image reference in the
+# tests, so broadcasting over images changes no bit of the result.
 
 
-def _image_grid(size: int):
-    u = np.linspace(0.0, 1.0, size)
-    return np.meshgrid(u, u, indexing="ij")  # rows (u), cols (v)
+def _band(x, offset, width, out=None):
+    """exp(-0.5 * ((x - offset) / width)**2)."""
+    z = np.subtract(x, offset, out=out)
+    z /= width
+    np.square(z, out=z)
+    z *= -0.5
+    return np.exp(z, out=z)
 
 
-def _template(class_index: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Class-distinct parametric pattern with per-example jitter.
+def _py_square(s):
+    # one Python float at a time, as the per-image reference squares widths:
+    # its s**2 (libm's pow) and numpy's x*x differ in about 1 value of 1200
+    return np.array([float(x) ** 2 for x in s.ravel()]).reshape(s.shape)
 
-    Jitter ranges are wide enough that neighbouring classes overlap for some
-    draws (bars vs. bands vs. gradients), leaving irreducible confusion that
-    keeps predictive uncertainty meaningful while class means stay separated.
-    """
-    uu, vv = _image_grid(size)
-    amp = rng.uniform(0.55, 1.25)
-    k = class_index
-    if k == 0:  # horizontal bar
-        t, w = rng.uniform(0.15, 0.85), rng.uniform(0.06, 0.22)
-        img = np.exp(-0.5 * ((uu - t) / w) ** 2)
-    elif k == 1:  # vertical bar
-        t, w = rng.uniform(0.15, 0.85), rng.uniform(0.06, 0.22)
-        img = np.exp(-0.5 * ((vv - t) / w) ** 2)
-    elif k == 2:  # descending diagonal band
-        o, w = rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.16)
-        img = np.exp(-0.5 * (((uu - vv) / np.sqrt(2) - o) / w) ** 2)
-    elif k == 3:  # ascending diagonal band
-        o, w = rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.16)
-        img = np.exp(-0.5 * (((uu + vv - 1.0) / np.sqrt(2) - o) / w) ** 2)
-    elif k == 4:  # blob
-        cu, cv = rng.uniform(0.25, 0.75, size=2)
-        s = rng.uniform(0.08, 0.22)
-        img = np.exp(-0.5 * ((uu - cu) ** 2 + (vv - cv) ** 2) / s**2)
-    elif k == 5:  # ring
-        cu, cv = rng.uniform(0.35, 0.65, size=2)
-        radius, w = rng.uniform(0.18, 0.42), rng.uniform(0.04, 0.12)
-        dist = np.sqrt((uu - cu) ** 2 + (vv - cv) ** 2)
-        img = np.exp(-0.5 * ((dist - radius) / w) ** 2)
-    elif k == 6:  # horizontal gradient
-        img = vv ** rng.uniform(0.4, 2.2)
-    elif k == 7:  # vertical gradient
-        img = uu ** rng.uniform(0.4, 2.2)
-    elif k == 8:  # checkerboard
-        period = rng.uniform(0.18, 0.42)
-        p1, p2 = rng.uniform(0.0, 2 * np.pi, size=2)
-        img = 0.5 + 0.5 * np.sin(2 * np.pi * uu / period + p1) * np.sin(
-            2 * np.pi * vv / period + p2
-        )
-    elif k == 9:  # four corner blobs
-        s = rng.uniform(0.07, 0.16)
-        img = np.zeros_like(uu)
-        for cu in (0.12, 0.88):
-            for cv in (0.12, 0.88):
-                img += np.exp(-0.5 * ((uu - cu) ** 2 + (vv - cv) ** 2) / s**2)
-    else:
-        raise ValueError("templates are defined for classes 0..9")
-    return amp * img
+
+def _blob(u, v, out, cu, cv, s):
+    z = np.add((u - cu) ** 2, (v - cv) ** 2, out=out)
+    z *= -0.5
+    z /= _py_square(s)
+    return np.exp(z, out=z)
+
+
+def _ring(u, v, out, cu, cv, radius, width):
+    dist = np.sqrt(np.add((u - cu) ** 2, (v - cv) ** 2, out=out), out=out)
+    return _band(dist, radius, width, out)
+
+
+def _checkerboard(u, v, out, period, p1, p2):
+    half = np.sin(2 * np.pi * u / period + p1)
+    half *= 0.5
+    np.multiply(half, np.sin(2 * np.pi * v / period + p2), out=out)
+    out += 0.5
+    return out
+
+
+def _corner_blobs(u, v, out, s):
+    s2 = _py_square(s)
+    out.fill(0.0)
+    for cu in (0.12, 0.88):
+        for cv in (0.12, 0.88):
+            z = -0.5 * ((u - cu) ** 2 + (v - cv) ** 2) / s2
+            out += np.exp(z, out=z)
+    return out
+
+
+_AMPLITUDE = (0.55, 1.25)
+# Per class: the uniform ranges of its pattern parameters in draw order, and
+# the pattern, called as pattern(u, v, out, *parameters) with one (n, 1, 1)
+# column per parameter.  It returns an array that broadcasts to the class's
+# (n, S, S) images: out, an (n, S, S) scratch it may fill, or a smaller one.
+_CLASSES = (
+    # horizontal bar: position, width
+    (((0.15, 0.85), (0.06, 0.22)), lambda u, v, out, t, w: _band(u, t, w)),
+    # vertical bar
+    (((0.15, 0.85), (0.06, 0.22)), lambda u, v, out, t, w: _band(v, t, w)),
+    # descending diagonal band: offset, width
+    (((-0.3, 0.3), (0.05, 0.16)),
+     lambda u, v, out, o, w: _band((u - v) / np.sqrt(2), o, w, out)),
+    # ascending diagonal band
+    (((-0.3, 0.3), (0.05, 0.16)),
+     lambda u, v, out, o, w: _band((u + v - 1.0) / np.sqrt(2), o, w, out)),
+    # blob: centre (u, v), width
+    (((0.25, 0.75), (0.25, 0.75), (0.08, 0.22)), _blob),
+    # ring: centre (u, v), radius, width
+    (((0.35, 0.65), (0.35, 0.65), (0.18, 0.42), (0.04, 0.12)), _ring),
+    # horizontal gradient: exponent
+    (((0.4, 2.2),), lambda u, v, out, e: v ** e),
+    # vertical gradient
+    (((0.4, 2.2),), lambda u, v, out, e: u ** e),
+    # checkerboard: period, two phases
+    (((0.18, 0.42), (0.0, 2 * np.pi), (0.0, 2 * np.pi)), _checkerboard),
+    # four corner blobs: width
+    (((0.07, 0.16),), _corner_blobs),
+)
+
+
+def _fill_classes(images, n_classes, noise_sigma, rng):
+    """Draw and compute the (N, S, S) images, the first N / n_classes of
+    class 0, and so on.  The scratch is freed on return, before the caller's
+    permutation copies the images."""
+    n_per_class, size = len(images) // n_classes, images.shape[-1]
+    lin = np.linspace(0.0, 1.0, size)
+    u, v = lin[:, None], lin[None, :]
+    scratch = np.empty((n_per_class, size, size))
+    for k, (ranges, pattern) in enumerate(_CLASSES[:n_classes]):
+        low, high = np.array((_AMPLITUDE,) + ranges).T
+        draws = np.empty((n_per_class, len(low)))
+        rows = images[k * n_per_class : (k + 1) * n_per_class]
+        for j in range(n_per_class):
+            rng.random(out=draws[j])
+            rng.standard_normal(out=rows[j])
+        # Generator.uniform's map, one 64-bit draw per value
+        amp, *params = (low + (high - low) * draws).T[:, :, None, None]
+        img = pattern(u, v, scratch, *params)
+        img *= amp
+        rows *= noise_sigma
+        rows += img
 
 
 def gen_synthetic_images(
@@ -340,21 +401,24 @@ def gen_synthetic_images(
     Classes are oriented bars, diagonal bands, blobs, rings, gradients, a
     checkerboard, and corner blobs; separable by a small conv net while still
     overlapping enough to leave nontrivial predictive uncertainty.
+
+    See the module docstring for the order in which the generator stream is
+    consumed; the pattern parameters are drawn in the order of ``_CLASSES``.
+    ``ValueError`` before any draw for a size or count that is not a
+    positive integer, or a noise_sigma that is negative or not finite.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1 (empty dataset)")
-    if not (2 <= n_classes <= 10):
-        raise ValueError("n_classes must be between 2 and 10")
+    if not _positive_sizes((n_per_class, size)):
+        raise ValueError(
+            f"n_per_class and size must be integers >= 1, got {n_per_class!r} and {size!r}"
+        )
+    if not (_positive_sizes((n_classes,)) and 2 <= n_classes <= 10):
+        raise ValueError(f"n_classes must be an integer between 2 and 10, got {n_classes!r}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     rng = np.random.default_rng(seed)
     images = np.empty((n_classes * n_per_class, 1, size, size))
-    labels = np.empty(n_classes * n_per_class, dtype=np.int64)
-    i = 0
-    for k in range(n_classes):
-        for _ in range(n_per_class):
-            img = _template(k, rng, size)
-            images[i, 0] = img + noise_sigma * rng.standard_normal((size, size))
-            labels[i] = k
-            i += 1
+    _fill_classes(images[:, 0], n_classes, noise_sigma, rng)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     perm = rng.permutation(len(labels))
     images, labels = images[perm], labels[perm]
     split = _split_tags(len(labels), split_fractions, rng=None)

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from .moments import GaussianScalar, MomentTensor, std_normal_cdf
+from .moments import MomentTensor, std_normal_cdf
 
 # Below this variance the moment formulas switch to their exact deterministic
 # limits (they divide by sqrt(V) or sqrt(V1+V2) otherwise).
@@ -316,8 +316,11 @@ def dropout_mp(mt: MomentTensor, spec: DropoutSpec) -> MomentTensor:
 
 def _dropout_variance(e, v, pq, keep, out):
     """V*pq + V*keep^2 + E^2*pq, assembled in ``out``."""
-    np.square(e, out=out)
-    out *= pq
+    if pq:
+        np.square(e, out=out)
+        out *= pq
+    else:  # E^2 * 0 without squaring: E^2 overflows above about 1.3e154
+        out.fill(0.0)
     out += v * (pq + keep * keep)
 
 
@@ -531,15 +534,6 @@ def _max_pair_arrays(e1, v1, e2, v2):
     _record_clamps(np.count_nonzero(var < 0.0))
     np.maximum(var, 0.0, out=var)
     return mean, var
-
-
-def maxpool_pair(a: GaussianScalar, b: GaussianScalar) -> GaussianScalar:
-    """Exact max-of-two-Gaussians moments for a single pair of nodes."""
-    mean, var = _max_pair_arrays(
-        np.array([a.mean]), np.array([a.variance]),
-        np.array([b.mean]), np.array([b.variance]),
-    )
-    return GaussianScalar(float(mean[0]), float(var[0]))
 
 
 def _pool_view(x, n):

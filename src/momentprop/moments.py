@@ -1,4 +1,4 @@
-"""Gaussian scalar utilities and the paired expectation/variance container.
+"""The standard normal CDF and the paired expectation/variance container.
 
 Everything in this module is pure and elementwise; the per-layer transforms
 build on these primitives.  All computation is in 64-bit floats.
@@ -6,18 +6,10 @@ build on these primitives.  All computation is in 64-bit floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
 _SQRT2 = float(np.sqrt(2.0))
-_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-
-
-def std_normal_pdf(x):
-    """Density of N(0, 1), exp(-x^2/2)/sqrt(2*pi).  Elementwise on arrays."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
 def std_normal_cdf(x):
@@ -28,33 +20,6 @@ def std_normal_cdf(x):
     across layers.
     """
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / -_SQRT2)
-
-
-@dataclass(frozen=True)
-class GaussianScalar:
-    """A single (mean, variance) pair; variance must be nonnegative."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.mean):
-            raise ValueError("mean must be finite")
-        if not (self.variance >= 0.0):
-            raise ValueError(f"variance must be >= 0, got {self.variance!r}")
-
-
-def product_variance(x: GaussianScalar, y: GaussianScalar) -> float:
-    """Variance of X*Y for independent X and Y with the given moments.
-
-    V(XY) = V(X)V(Y) + V(X)E(Y)^2 + E(X)^2 V(Y).  Symmetric in its arguments
-    and nonnegative whenever both variances are.
-    """
-    return float(
-        x.variance * y.variance
-        + x.variance * y.mean**2
-        + x.mean**2 * y.variance
-    )
 
 
 class MomentTensor:

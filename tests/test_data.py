@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momentprop.data import (
     DataError,
@@ -15,6 +18,7 @@ from momentprop.data import (
     toy_target,
     write_regression_csv,
 )
+from oracles import gen_synthetic_images_per_image
 
 
 class TestToyRegression:
@@ -132,6 +136,62 @@ class TestSyntheticImages:
         ds = gen_synthetic_images(5, n_classes=4, size=12, seed=0)
         assert ds.features.shape == (20, 1, 12, 12)
         assert set(np.unique(ds.targets)) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("bad", [
+        {"size": 0}, {"size": -3}, {"size": 7.5}, {"size": 16.0}, {"size": True},
+        {"n_per_class": 2.5}, {"n_per_class": 3.0}, {"n_classes": 3.0},
+        {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")}, {"noise_sigma": -0.1},
+    ])
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, bad):
+        def no_generator(*args):
+            raise AssertionError("a generator was built before the arguments were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(ValueError):
+            gen_synthetic_images(**{"n_per_class": 3, **bad})
+
+    def test_numpy_integer_arguments_accepted(self):
+        a = gen_synthetic_images(np.int64(3), n_classes=np.int32(4), size=np.int64(6), seed=2)
+        b = gen_synthetic_images(3, n_classes=4, size=6, seed=2)
+        assert a.features.tobytes() == b.features.tobytes()
+
+
+def digest(ds) -> str:
+    h = hashlib.sha256()
+    for part in (ds.features, ds.targets, ds.split):
+        h.update(part.tobytes())
+    return h.hexdigest()
+
+
+class TestSyntheticImagesMatchPerImageReference:
+    """gen_synthetic_images computes a class at a time; it must equal the
+    per-image generator (tests/oracles.py) byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12), st.integers(2, 10), st.sampled_from((1, 2, 5, 12, 16, 32)),
+        st.floats(0.0, 1.0), st.integers(0, 2**64),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_byte_identical(self, n_per_class, n_classes, size, noise_sigma, seed, weights):
+        fractions = tuple(w / max(1.0, sum(weights)) for w in weights)
+        args = dict(n_per_class=n_per_class, n_classes=n_classes, size=size,
+                    noise_sigma=noise_sigma, seed=seed, split_fractions=fractions)
+        got, want = gen_synthetic_images(**args), gen_synthetic_images_per_image(**args)
+        assert digest(got) == digest(want)
+
+    # SHA-256 of features, targets and split tags, computed with the
+    # per-image generator: the benchmark's held-out-class data on two seeds,
+    # and the acceptance suite's ood_setup data.
+    @pytest.mark.parametrize("n_per_class, seed, expected", [
+        (400, 1, "d2a210ada69b99ae8089714e0818929bcfe518fc88b9cffd0d113191cab9be05"),
+        (400, 601, "30597fcd2521f6af9713ba21dcc7901818e211f0afbb91c7e5e62da8576a29c2"),
+        (300, 7, "3f7cdba648c1b5812d2befad421ba290d327adb55da0a18a457df3fa8864bc7b"),
+    ])
+    def test_pinned_digests_at_scale(self, n_per_class, seed, expected):
+        ds = gen_synthetic_images(n_per_class, n_classes=10, size=16, seed=seed,
+                                  split_fractions=(0.5, 0.125, 0.375))
+        assert digest(ds) == expected
 
 
 class TestOodSplit:
