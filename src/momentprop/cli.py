@@ -281,18 +281,36 @@ def _finish(report, obj, name):
     click.echo(f"report written to {paths['summary']}")
 
 
+def _run_experiment(obj, section: str, run, options: dict, aliases=None):
+    """Run the protocol ``run`` on the command's ``options``, updated by the
+    ``--config`` file's ``section``, and write its report.
+
+    The section's keys are ``run``'s parameter names, or their ``aliases``.
+    A key that ``run`` does not take, or an argument that its data or model
+    set-up refuses (a KeyError, TypeError or ValueError), is a data error
+    that names the section; a diverged training stays a numeric failure.
+    """
+    over = obj["config"].get(section, {})
+    if not isinstance(over, dict):
+        raise DataError(f"config section {section!r} must be a JSON object")
+    aliases = aliases or {}
+    kwargs = {**options, **{aliases.get(k, k): v for k, v in over.items()}}
+    try:
+        report = run(**kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise DataError(f"bad {section!r} config: {detail}") from exc
+    _finish(report, obj, section)
+
+
 @cmd_experiment.command("toy")
 @click.option("--t", type=int, default=10000, show_default=True)
 @click.option("--epochs", type=int, default=2000, show_default=True)
 @click.option("--n", type=int, default=1536, show_default=True)
 @click.pass_obj
 def cmd_toy(obj, t, epochs, n):
-    over = obj["config"].get("toy", {})
-    report = experiments.run_toy_experiment(
-        t=over.get("t", t), seed=obj["seed"], epochs=over.get("epochs", epochs),
-        n=over.get("n", n), **{k: v for k, v in over.items() if k not in ("t", "epochs", "n")},
-    )
-    _finish(report, obj, "toy")
+    _run_experiment(obj, "toy", experiments.run_toy_experiment,
+                    {"t": t, "seed": obj["seed"], "epochs": epochs, "n": n})
 
 
 @cmd_experiment.command("uci")
@@ -302,24 +320,26 @@ def cmd_toy(obj, t, epochs, n):
 @click.option("--epochs", type=int, default=200, show_default=True)
 @click.pass_obj
 def cmd_uci(obj, csv_paths, t, epochs):
-    over = obj["config"].get("uci", {})
-    specs = over.get("datasets", [])
+    cli_specs = []
     for item in csv_paths:
         parts = item.split(":")
         if len(parts) < 2:
             raise click.UsageError(f"--csv expects path:target_column[:name], got {item!r}")
-        specs.append({
+        cli_specs.append({
             "path": str(_resolve_data_path(parts[0], obj.get("data_dir"))),
             "target_column": parts[1],
             "name": parts[2] if len(parts) > 2 else Path(parts[0]).stem,
         })
-    if not specs:
-        raise click.UsageError("no CSV datasets given (use --csv or a config file)")
-    report = experiments.run_uci_experiment(
-        specs, seed=obj["seed"], threads=obj["threads"],
-        t_mc=over.get("t", t), epochs=over.get("epochs", epochs),
-    )
-    _finish(report, obj, "uci")
+
+    def run(datasets=(), **run_kw):
+        specs = [*datasets, *cli_specs]
+        if not specs:
+            raise click.UsageError("no CSV datasets given (use --csv or a config file)")
+        return experiments.run_uci_experiment(specs, **run_kw)
+
+    _run_experiment(obj, "uci", run,
+                    {"seed": obj["seed"], "threads": obj["threads"], "t_mc": t, "epochs": epochs},
+                    aliases={"t": "t_mc"})
 
 
 @cmd_experiment.command("ood")
@@ -329,16 +349,11 @@ def cmd_uci(obj, csv_paths, t, epochs):
 @click.option("--t", type=int, default=50, show_default=True)
 @click.pass_obj
 def cmd_ood(obj, seeds, ensemble, t):
-    over = obj["config"].get("ood", {})
     seed_list = tuple(int(s) for s in seeds.split(","))
-    report = experiments.run_ood_experiment(
-        seeds=over.get("seeds", seed_list),
-        ensemble_size=over.get("ensemble", ensemble),
-        t=over.get("t", t),
-        threads=obj["threads"],
-        **{k: v for k, v in over.items() if k not in ("seeds", "ensemble", "t")},
-    )
-    _finish(report, obj, "ood")
+    _run_experiment(obj, "ood", experiments.run_ood_experiment,
+                    {"seeds": seed_list, "ensemble_size": ensemble, "t": t,
+                     "threads": obj["threads"]},
+                    aliases={"ensemble": "ensemble_size"})
 
 
 @cmd_experiment.command("filter")
@@ -347,14 +362,10 @@ def cmd_ood(obj, seeds, ensemble, t):
 @click.option("--kind", type=click.Choice(["entropy", "one_minus_max"]), default="entropy")
 @click.pass_obj
 def cmd_filter(obj, t, ensemble, kind):
-    over = obj["config"].get("filter", {})
-    report = experiments.run_filter_experiment(
-        t=over.get("t", t), kind=over.get("kind", kind),
-        ensemble_size=over.get("ensemble", ensemble),
-        seeds=(obj["seed"],), threads=obj["threads"],
-        **{k: v for k, v in over.items() if k not in ("t", "kind", "ensemble")},
-    )
-    _finish(report, obj, "filter")
+    _run_experiment(obj, "filter", experiments.run_filter_experiment,
+                    {"t": t, "kind": kind, "ensemble_size": ensemble,
+                     "seeds": (obj["seed"],), "threads": obj["threads"]},
+                    aliases={"ensemble": "ensemble_size"})
 
 
 @cmd_experiment.command("auc-vs-t")
@@ -362,15 +373,10 @@ def cmd_filter(obj, t, ensemble, kind):
 @click.option("--repeats", type=int, default=20, show_default=True)
 @click.pass_obj
 def cmd_auc_vs_t(obj, t_list, repeats):
-    over = obj["config"].get("auc_vs_t", {})
     ts = tuple(int(s) for s in t_list.split(","))
-    report = experiments.run_auc_vs_t_experiment(
-        t_list=over.get("t_list", ts), repeats=over.get("repeats", repeats),
-        seed=obj["seed"], seeds=(obj["seed"],),
-        ensemble_size=1, threads=obj["threads"],
-        **{k: v for k, v in over.items() if k not in ("t_list", "repeats")},
-    )
-    _finish(report, obj, "auc_vs_t")
+    _run_experiment(obj, "auc_vs_t", experiments.run_auc_vs_t_experiment,
+                    {"t_list": ts, "repeats": repeats, "seed": obj["seed"],
+                     "seeds": (obj["seed"],), "ensemble_size": 1, "threads": obj["threads"]})
 
 
 @cli.command("benchmark")

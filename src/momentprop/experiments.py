@@ -282,7 +282,7 @@ def uci_run(
     def build(p_star):
         return mlp_regression(in_dim, hidden=hidden, dropout_rate=p_star, seed=seed, tau=1.0)
 
-    result = grid_search_uci(build, data, p_grid, tau_grid, cfg, score_mode="mp")
+    result = grid_search_uci(build, data, p_grid, tau_grid, cfg)
     model, _ = train(build(result.p_star), data, cfg)
     x_test, y_test_std = data.test_xy()
     rec = data.standardization
@@ -485,7 +485,6 @@ def run_ood_experiment(
     t: int = 50,
     threads: int = 1,
     setup: OodSetup | None = None,
-    include_entropy_table: bool = True,
     **setup_kw,
 ) -> ExperimentReport:
     if setup is None:
@@ -493,25 +492,22 @@ def run_ood_experiment(
             seeds=seeds, ensemble_size=ensemble_size, threads=threads, **setup_kw
         )
     rows = [ood_seed_metrics(setup, seed, t=t) for seed in setup.members]
-    tables = {"ood_metrics": rows}
-    if include_entropy_table:
-        seed0 = next(iter(setup.members))
-        model = setup.members[seed0][0]
-        ent_rows = []
-        for sub, (x, _) in (("ind", (setup.ind_data.test_xy())),
-                            ("ood", (setup.ood_data.test_xy()))):
-            nn, mc, mp_ = _member_probs(model, x, t, 9000 + seed0)
-            h_nn, h_mc, h_mp = (metrics.entropy(p) for p in (nn, mc, mp_))
-            for i in range(len(x)):
-                ent_rows.append(
-                    {"subset": sub, "example": i,
-                     "entropy_nn": h_nn[i], "entropy_mc": h_mc[i], "entropy_mp": h_mp[i]}
-                )
-        tables["entropies"] = ent_rows
+    seed0 = next(iter(setup.members))
+    model = setup.members[seed0][0]
+    ent_rows = []
+    for sub, (x, _) in (("ind", (setup.ind_data.test_xy())),
+                        ("ood", (setup.ood_data.test_xy()))):
+        nn, mc, mp_ = _member_probs(model, x, t, 9000 + seed0)
+        h_nn, h_mc, h_mp = (metrics.entropy(p) for p in (nn, mc, mp_))
+        for i in range(len(x)):
+            ent_rows.append(
+                {"subset": sub, "example": i,
+                 "entropy_nn": h_nn[i], "entropy_mc": h_mc[i], "entropy_mp": h_mp[i]}
+            )
     return ExperimentReport(
         experiment="ood",
         config={**setup.config, "t": t},
-        tables=tables,
+        tables={"ood_metrics": rows, "entropies": ent_rows},
     )
 
 

@@ -10,7 +10,13 @@ layer's natural rank or the same with one leading batch axis.  All functions
 are pure given their spec, except that the elementwise det and sample ops
 write their result into ``out`` when one is given (numpy's ``out=``, which
 may be the input itself); the only side channel is a thread-local counter of
-negative-variance clamps kept for diagnostics.
+negative-variance clamps kept for diagnostics.  ``dropout_sample`` writes a
+mask drawn through a scratch array only into a C-contiguous ``out``.
+
+Each moment op has one code path: ``_blockwise`` alone lets an input of one
+block or less skip the block loop, and a variance-free conv or pool input
+takes the general path (``forward_mp`` sends none: it runs a model's
+variance-free prefix with the det ops).
 """
 
 from __future__ import annotations
@@ -83,7 +89,13 @@ def _record_clamps(n: int) -> None:
 def _blockwise(op, mt: MomentTensor) -> MomentTensor:
     """Apply an elementwise kernel ``op(e, v) -> (e', v')`` to consecutive
     BLOCK_SIZE-element blocks of ``mt`` and reassemble the result in
-    ``mt``'s shape."""
+    ``mt``'s shape.
+
+    An input of one block or less goes to ``op`` whole: the block loop's
+    copies would cost the one-example MLP's mp forward about 8%.
+    """
+    if mt.expectation.size <= BLOCK_SIZE:
+        return MomentTensor._unchecked(*op(mt.expectation, mt.variance))
     e = mt.expectation.reshape(-1)
     v = mt.variance.reshape(-1)
     e_out = np.empty_like(e)
@@ -268,22 +280,18 @@ def dropout_sample(x, spec: DropoutSpec, rng: np.random.Generator, out=None, dra
     """Multiply each node by an independent Bernoulli(1-rate) draw, unscaled.
 
     Without ``draws`` the mask is one ``rng.random(x.shape)``.  Given
-    ``draws``, a 1-D float64 scratch array, the uniforms are drawn into it,
-    block by block when ``x`` is larger; the blocks continue one stream in C
-    order, so the result is bitwise the same.  A blocked result needs a
-    C-contiguous ``out``.
+    ``draws``, a 1-D float64 scratch array, the uniforms are drawn into it
+    block by block (one block when ``x`` fits); the blocks continue one
+    stream in C order, so the result is bitwise the same.  A mask drawn
+    through ``draws`` needs a C-contiguous ``out``.
     """
     x = np.asarray(x, dtype=np.float64)
     if draws is None:
         return np.multiply(x, rng.random(x.shape) >= spec.rate, out=out)
-    if x.size <= draws.size:
-        uniforms = draws[: x.size].reshape(x.shape)
-        rng.random(out=uniforms)
-        return np.multiply(x, uniforms >= spec.rate, out=out)
     if out is None:
         out = np.empty(x.shape)
     elif not out.flags.c_contiguous:
-        raise ValueError("dropout_sample writes a blocked result only into a C-contiguous out")
+        raise ValueError("dropout_sample draws through a scratch only into a C-contiguous out")
     x_flat, out_flat = x.reshape(-1), out.reshape(-1)
     for start in range(0, x.size, draws.size):
         stop = min(start + draws.size, x.size)
@@ -295,33 +303,20 @@ def dropout_sample(x, spec: DropoutSpec, rng: np.random.Generator, out=None, dra
 
 def dropout_mp(mt: MomentTensor, spec: DropoutSpec) -> MomentTensor:
     """Exact moments of Bernoulli masking via the independent-product rule."""
-    p = spec.rate
-    keep = 1.0 - p
-    pq = p * keep
-    e, v = mt.expectation, mt.variance
-    e_out = e * keep
-    v_out = np.empty(e.shape)
-    if e.size <= BLOCK_SIZE:
-        # one block: skip the block loop (it costs the one-example MLP's mp
-        # forward about 7%)
-        _dropout_variance(e, v, pq, keep, v_out)
-        return MomentTensor._unchecked(e_out, v_out)
-    # block by block, so the V term's temporary never spans the whole array
-    e_flat, v_flat, out_flat = e.reshape(-1), v.reshape(-1), v_out.reshape(-1)
-    for start in range(0, e.size, BLOCK_SIZE):
-        block = slice(start, start + BLOCK_SIZE)
-        _dropout_variance(e_flat[block], v_flat[block], pq, keep, out_flat[block])
-    return MomentTensor._unchecked(e_out, v_out)
+    return _blockwise(lambda e, v: _dropout_arrays(e, v, spec.rate), mt)
 
 
-def _dropout_variance(e, v, pq, keep, out):
-    """V*pq + V*keep^2 + E^2*pq, assembled in ``out``."""
+def _dropout_arrays(e, v, rate):
+    """E*keep and V*pq + V*keep^2 + E^2*pq, with keep = 1-rate, pq = rate*keep."""
+    keep = 1.0 - rate
+    pq = rate * keep
     if pq:
-        np.square(e, out=out)
-        out *= pq
+        v_out = np.square(e)
+        v_out *= pq
     else:  # E^2 * 0 without squaring: E^2 overflows above about 1.3e154
-        out.fill(0.0)
-    out += v * (pq + keep * keep)
+        v_out = np.zeros_like(e)
+    v_out += v * (pq + keep * keep)
+    return e * keep, v_out
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +412,8 @@ def conv2d_mp(mt: MomentTensor, spec: Conv2DSpec) -> MomentTensor:
     ecols, oh, ow = _conv_cols(eb, spec)
     e_out = _conv_apply(ecols, spec.kernel_mat, spec.bias, oh, ow)
     del ecols  # free the expectation patches before building the variance's
-    if not vb.any():
-        v_out = np.zeros_like(e_out)
-    else:
-        vcols, _, _ = _conv_cols(vb, spec)
-        v_out = _conv_apply(vcols, spec.kernel_sq_mat, None, oh, ow)
+    vcols, _, _ = _conv_cols(vb, spec)
+    v_out = _conv_apply(vcols, spec.kernel_sq_mat, None, oh, ow)
     return MomentTensor._unchecked(_unbatch(e_out, squeeze), _unbatch(v_out, squeeze))
 
 
@@ -441,11 +433,7 @@ def relu_mp(mt: MomentTensor) -> MomentTensor:
     deterministic limit (max(E, 0), 0) is used; rounding can leave V' a hair
     negative, which is clamped to zero and counted.
     """
-    if mt.expectation.size > BLOCK_SIZE:
-        return _blockwise(_relu_arrays, mt)
-    # one block: skip the block loop and its copies (they cost the
-    # one-example MLP's mp forward about 8%)
-    return MomentTensor._unchecked(*_relu_arrays(mt.expectation, mt.variance))
+    return _blockwise(_relu_arrays, mt)
 
 
 def _relu_arrays(e, v):
@@ -453,6 +441,7 @@ def _relu_arrays(e, v):
     if v.size and float(v.min()) < EPS_VAR:
         det = v < EPS_VAR
         if det.all():
+            # returning here also keeps np.square(e) below from overflowing on a large E
             return np.maximum(e, 0.0), np.zeros_like(e)
     any_det = det is not None
     v_safe = np.where(det, 1.0, v) if any_det else v
@@ -498,6 +487,7 @@ def _max_pair_arrays(e1, v1, e2, v2):
     if t2.size and float(t2.min()) < EPS_VAR * EPS_VAR:
         deg = t2 < EPS_VAR * EPS_VAR
         if deg.all():
+            # returning here also keeps the squared means below from overflowing
             first = e1 >= e2
             return np.where(first, e1, e2), np.where(first, v1, v2)
     any_deg = deg is not None
@@ -548,6 +538,7 @@ def _pool_view(x, n):
 def maxpool2d_det(x, spec: MaxPool2DSpec):
     xb, squeeze = _with_batch(x, 3, "maxpool2d")
     out = _pool_view(xb, spec.size).max(axis=(3, 5))
+    out += 0.0  # a zero maximum is +0.0, whichever signed zero the reduction kept
     return _unbatch(out, squeeze)
 
 
@@ -565,9 +556,6 @@ def maxpool2d_mp(mt: MomentTensor, spec: MaxPool2DSpec) -> MomentTensor:
     eb, squeeze = _with_batch(mt.expectation, 3, "maxpool2d")
     vb, _ = _with_batch(mt.variance, 3, "maxpool2d")
     n = spec.size
-    if not vb.any():
-        out = _unbatch(_pool_view(eb, n).max(axis=(3, 5)), squeeze)
-        return MomentTensor._unchecked(out, np.zeros_like(out))
     # (B, C, h, n, w, n) window views; fold row-major over the two window axes
     ewin = _pool_view(eb, n)
     vwin = _pool_view(vb, n)
@@ -610,13 +598,8 @@ def _expected_sigmoid(diff, var_sum):
     is below EPS_VAR the expectation is just sigma(diff), which is exact and
     keeps the zero-variance output equal to the plain softmax.
     """
-    deg = var_sum < EPS_VAR
-    if not deg.any():
-        return std_normal_cdf(diff / np.sqrt(var_sum + _SIGMOID_SLOPE_VAR))
-    if deg.all():
-        return special.expit(diff)
     probit = std_normal_cdf(diff / np.sqrt(var_sum + _SIGMOID_SLOPE_VAR))
-    return np.where(deg, special.expit(diff), probit)
+    return np.where(var_sum < EPS_VAR, special.expit(diff), probit)
 
 
 def softmax_mp(mt: MomentTensor) -> np.ndarray:

@@ -30,7 +30,7 @@ from .layers import (
     _im2col,
     _pool_view,
 )
-from .metrics import regression_nll_mc, regression_nll_mp
+from .metrics import regression_nll_mp
 from .network import (
     KINDS,
     TASK_CLASSIFICATION,
@@ -226,6 +226,7 @@ def _pool_forward(h, layer, p, mask):
         cand = win[:, :, :, k // n, :, k % n]
         np.copyto(idx, k, where=cand > out)
         np.maximum(out, cand, out=out)
+    out += 0.0  # +0.0 for a zero maximum, as in maxpool2d_det
     return out, (idx, h.shape)
 
 
@@ -521,8 +522,6 @@ def grid_search_uci(
     p_grid,
     tau_grid,
     cfg: TrainConfig,
-    score_mode: str = "mp",
-    mc_samples: int = 100,
 ) -> GridSearchResult:
     """Pick (dropout rate, noise precision) minimizing validation NLL.
 
@@ -532,25 +531,13 @@ def grid_search_uci(
     """
     if any(t <= 0 for t in tau_grid):
         raise ValueError("tau grid must be positive")
-    if score_mode not in ("mp", "mc"):
-        raise ValueError("score_mode must be 'mp' or 'mc'")
     x_val, y_val = data.val_xy()
     entries = []
     for p_star in p_grid:
         model, _ = train(build_model(p_star), data, cfg)
-        if score_mode == "mp":
-            pred = predict(model, x_val, MomentPropagation())
-            means, variances = pred.mean, pred.variance
-        else:
-            from .mc import mc_forward
-
-            batch = mc_forward(model, x_val, mc_samples, seed=cfg.seed)
-            mu = batch.outputs[..., 0]
+        pred = predict(model, x_val, MomentPropagation())
         for tau in tau_grid:
-            if score_mode == "mp":
-                nll = float(np.mean(regression_nll_mp(means, variances, tau, y_val)))
-            else:
-                nll = float(np.mean(regression_nll_mc(mu, tau, y_val)))
+            nll = float(np.mean(regression_nll_mp(pred.mean, pred.variance, tau, y_val)))
             entries.append({"p_star": float(p_star), "tau": float(tau), "val_nll": nll})
     best = min(entries, key=lambda e: (e["val_nll"], e["p_star"], e["tau"]))
     return GridSearchResult(

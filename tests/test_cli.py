@@ -280,6 +280,32 @@ class TestExperimentCommands:
         assert result.exit_code == 0, result.output
         assert (out / "filter.csv").exists()
 
+    @pytest.mark.parametrize("command, section, over", [
+        ("ood", "ood", {"n_per_class": 0}),
+        ("filter", "filter", {"no_such_option": 1}),
+        ("auc-vs-t", "auc_vs_t", {"ind_classes": [0, 99]}),
+        ("toy", "toy", {"no_such_option": 1}),
+        ("uci", "uci", {"datasets": [{"name": "hand", "path": "hand.csv"}]}),
+    ])
+    def test_bad_config_is_data_error(self, runner, tmp_path, command, section, over):
+        x, y = gen_tabular_regression(20, n_features=2, seed=0)
+        write_regression_csv(tmp_path / "hand.csv", x, y)
+        cfg = tmp_path / "over.json"
+        cfg.write_text(json.dumps({section: over}))
+        result = runner.invoke(cli, ["--out", str(tmp_path / "run"), "--config", str(cfg),
+                                     "--data-dir", str(tmp_path), "experiment", command])
+        assert result.exit_code == 3, result.output
+        assert f"bad {section!r} config" in result.output
+
+    def test_diverged_experiment_training_is_numeric_failure(self, runner, tmp_path):
+        over = {"toy": {"epochs": 30, "t": 10, "n": 64, "hidden": [8], "batch_size": 32,
+                        "learning_rate": 1e200}}
+        cfg = tmp_path / "over.json"
+        cfg.write_text(json.dumps(over))
+        result = runner.invoke(cli, ["--out", str(tmp_path / "toy"), "--config", str(cfg),
+                                     "experiment", "toy"])
+        assert result.exit_code == 4, result.output
+
 
 class TestBenchmarkCommand:
     def test_benchmark_runs(self, runner, trained_model_path, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,7 +393,11 @@ def mixed_moments(shape, seed):
 class TestBlockedKernels:
     """relu_mp, dropout_mp and maxpool2d_mp run in BLOCK_SIZE blocks; on
     arrays spanning several blocks the result and the clamp count must be
-    bitwise those of a single-block evaluation."""
+    bitwise those of a single-block evaluation.  relu_mp and dropout_mp are
+    also run at _blockwise's boundary: an input of exactly one block goes to
+    the kernel whole, one element more takes the block loop."""
+
+    BOUNDARY = [(layers.BLOCK_SIZE,), (layers.BLOCK_SIZE + 1,)]
 
     @staticmethod
     def blocked_and_whole(monkeypatch, op):
@@ -411,10 +417,15 @@ class TestBlockedKernels:
         assert a.expectation.tobytes() == b.expectation.tobytes()
         assert a.variance.tobytes() == b.variance.tobytes()
 
-    @pytest.mark.parametrize("block", [None, 37])
-    def test_relu(self, monkeypatch, block):
-        mt = mixed_moments((3, 5, 37, 41), seed=40)
-        assert mt.expectation.size > 2 * layers.BLOCK_SIZE
+    @pytest.mark.parametrize("block, shape", [
+        pytest.param(None, (3, 5, 37, 41), id="None"),
+        pytest.param(37, (3, 5, 37, 41), id="37"),
+        pytest.param(None, BOUNDARY[0], id="one-block"),
+        pytest.param(None, BOUNDARY[1], id="one-block-plus-one"),
+    ])
+    def test_relu(self, monkeypatch, block, shape):
+        mt = mixed_moments(shape, seed=40)
+        assert mt.expectation.size > 2 * layers.BLOCK_SIZE or shape in self.BOUNDARY
         assert (mt.variance < EPS_VAR).any()
         if block is not None:
             monkeypatch.setattr(layers, "BLOCK_SIZE", block)
@@ -439,11 +450,13 @@ class TestBlockedKernels:
         assert n_whole > 0 and n_blocked == n_whole
 
     def test_dropout(self, monkeypatch):
-        mt = mixed_moments((5, 3, 31, 29), seed=42)
-        blocked, _, whole, _ = self.blocked_and_whole(
-            monkeypatch, lambda: mp.dropout_mp(mt, mp.DropoutSpec(0.3))
-        )
-        self.assert_bitwise(blocked, whole)
+        for shape in [(5, 3, 31, 29)] + self.BOUNDARY:
+            mt = mixed_moments(shape, seed=42)
+            with monkeypatch.context() as patch:
+                blocked, _, whole, _ = self.blocked_and_whole(
+                    patch, lambda: mp.dropout_mp(mt, mp.DropoutSpec(0.3))
+                )
+            self.assert_bitwise(blocked, whole)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +526,21 @@ class TestZeroVariancePassthrough:
         conv = mp.Conv2DSpec(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
         out = mp.conv2d_mp(MomentTensor.from_point(x), conv)
         assert np.array_equal(out.expectation, mp.conv2d_det(x, conv))
+        assert np.array_equal(out.variance, np.zeros_like(out.variance))
+
+    @pytest.mark.parametrize("mp_op, det_op", [
+        (mp.relu_mp, mp.relu_det),
+        (lambda mt: mp.maxpool2d_mp(mt, mp.MaxPool2DSpec(2)),
+         lambda x: mp.maxpool2d_det(x, mp.MaxPool2DSpec(2))),
+    ], ids=["relu", "maxpool"])
+    def test_huge_means_give_the_det_result_without_warnings(self, mp_op, det_op):
+        # the kernels' all-deterministic returns skip squaring E, which
+        # overflows above about 1.3e154
+        x = 1e200 * np.random.default_rng(24).choice([-1.0, 1.0], size=(2, 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mp_op(MomentTensor.from_point(x))
+        assert np.array_equal(out.expectation, det_op(x))
         assert np.array_equal(out.variance, np.zeros_like(out.variance))
 
 
