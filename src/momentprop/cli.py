@@ -8,8 +8,10 @@ codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 import click
@@ -69,11 +71,14 @@ class _MappedGroup(click.Group):
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DataError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise DataError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def _resolve_out(ctx_obj, experiment: str) -> Path:
@@ -83,97 +88,92 @@ def _resolve_out(ctx_obj, experiment: str) -> Path:
     return Path("runs") / f"{experiment}-{stamp}"
 
 
-def _resolve_data_path(path, data_dir):
-    path = Path(path)
-    if data_dir and not path.is_absolute():
-        return Path(data_dir) / path
-    return path
+UNSET = object()
+"""The CLI default of a key that a config section takes without one of its
+own: the constructor's default applies, or the key is required."""
 
 
-def _dataset_from_config(spec: dict, seed: int, data_dir=None):
-    """The dataset a config names; arguments the generators refuse (a
-    ValueError or TypeError) are data errors."""
+def _load(section: str, spec, build, defaults: dict, data_dir=None, aliases=None):
+    """``build(**options)``: the set ``defaults`` of a config ``section``
+    updated by its JSON object ``spec``, whose keys must be among them (or
+    ``aliases`` of them).  A relative ``path`` resolves against ``data_dir``.
+    An unknown key, or a KeyError, TypeError or ValueError raised while
+    building, is a data error that names the section."""
+    if not isinstance(spec, dict):
+        raise DataError(f"bad {section!r} config: {spec!r} is not a JSON object")
+    spec = {(aliases or {}).get(k, k): v for k, v in spec.items()}
+    if unknown := sorted(set(spec) - set(defaults)):
+        raise DataError(f"bad {section!r} config: unknown key {', '.join(map(repr, unknown))} "
+                        f"(it takes {', '.join(sorted(defaults))})")
+    options = {**{k: v for k, v in defaults.items() if v is not UNSET}, **spec}
     try:
-        return _build_dataset(spec, seed, data_dir)
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"bad dataset config: {exc}") from exc
+        if "path" in options:
+            options["path"] = str(Path(data_dir or "", options["path"]))
+        return build(**options)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise DataError(f"bad {section!r} config: {detail}") from exc
 
 
-def _build_dataset(spec: dict, seed: int, data_dir):
-    kind = spec.get("kind")
-    if kind == "toy":
-        ds = gen_toy_regression(
-            n=spec.get("n", 1536),
-            x_range=tuple(spec.get("x_range", (-3.0, 19.0))),
-            noise_sigma=spec.get("noise_sigma", 0.1),
-            seed=spec.get("seed", seed),
-        )
-        return standardize_regression(ds)
-    if kind == "csv":
-        return load_csv_regression(
-            _resolve_data_path(spec["path"], data_dir),
-            spec["target_column"],
-            split_fractions=tuple(spec.get("split_fractions", (0.8, 0.1, 0.1))),
-            seed=spec.get("seed", seed),
-        )
-    if kind == "synthetic_images":
-        ds = gen_synthetic_images(
-            n_per_class=spec.get("n_per_class", 400),
-            n_classes=spec.get("n_classes", 10),
-            size=spec.get("size", 16),
-            noise_sigma=spec.get("noise_sigma", 0.1),
-            seed=spec.get("seed", seed),
-            split_fractions=tuple(spec.get("split_fractions", (0.7, 0.15, 0.15))),
-        )
-        if spec.get("ind_classes"):
-            ds, _ = ood_partition(ds, spec["ind_classes"])
-        return ds
-    if kind == "cifar10":
-        return load_cifar10(_resolve_data_path(spec["path"], data_dir))
-    raise DataError(f"unknown dataset kind {kind!r}")
+def _load_kind(section: str, spec, kinds: dict, *args, data_dir=None):
+    """``_load`` for a section whose "kind" picks its constructor and defaults
+    from ``kinds``; the constructor takes ``args`` before the options."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not (isinstance(kind, str) and kind in kinds):
+        raise DataError(f"bad {section!r} config: kind {kind!r} is not one of {', '.join(kinds)}")
+    build, defaults = kinds[kind]
+    return _load(section, spec, lambda kind, **kw: build(*args, **kw),
+                 {"kind": kind, **defaults}, data_dir)
 
 
-def _model_from_config(spec: dict, dataset, seed: int):
-    kind = spec.get("kind")
-    if kind == "mlp":
-        return mlp_regression(
-            in_dim=dataset.features.shape[1],
-            hidden=tuple(spec.get("hidden", (50,))),
-            dropout_rate=spec.get("dropout_rate", 0.05),
-            seed=spec.get("seed", seed),
-            tau=spec.get("tau", 1.0),
-            name=spec.get("name", "mlp"),
-        )
-    if kind == "cnn":
-        c, h, w = dataset.features.shape[1:]
-        return cnn_classifier(
-            input_shape=(c, h, w),
-            conv_channels=tuple(spec.get("conv_channels", (8, 16))),
-            kernel_size=spec.get("kernel_size", 3),
-            dense_units=tuple(spec.get("dense_units", (64,))),
-            n_classes=dataset.n_classes,
-            dropout_rate=spec.get("dropout_rate", 0.3),
-            seed=spec.get("seed", seed),
-            name=spec.get("name", "cnn"),
-        )
-    raise DataError(f"unknown model kind {kind!r}")
+def _synthetic_images(ind_classes=None, **options):
+    data = gen_synthetic_images(**options)
+    return ood_partition(data, ind_classes)[0] if ind_classes else data
 
 
-def _train_config(spec: dict, seed: int) -> TrainConfig:
-    lr_red = spec.get("lr_reduction", {})
-    early = spec.get("early_stopping", {})
-    return TrainConfig(
-        epochs=spec.get("epochs", 100),
-        batch_size=spec.get("batch_size", 32),
-        optimizer=spec.get("optimizer", "adam"),
-        learning_rate=spec.get("learning_rate", 1e-3),
-        momentum=spec.get("momentum", 0.0),
-        loss=spec.get("loss", "mse"),
-        dropout_rates=tuple(spec["dropout_rates"]) if spec.get("dropout_rates") else None,
-        lr_reduction=None if lr_red is None else LrReduction(**lr_red),
-        early_stopping=None if early is None else EarlyStopping(**early),
-        seed=spec.get("seed", seed),
-    )
+def _train_schema(seed: int) -> dict:
+    """The keys that each section below a train config's top level takes, with
+    their CLI defaults; for a "dataset" or "model", per kind with its
+    constructor (a model's takes the dataset first)."""
+    return {
+        "dataset": {
+            "toy": (lambda **kw: standardize_regression(gen_toy_regression(**kw)),
+                    {"n": 1536, "x_range": UNSET, "noise_sigma": UNSET, "seed": seed}),
+            "csv": (load_csv_regression, {"path": UNSET, "target_column": UNSET,
+                                          "split_fractions": UNSET, "seed": seed}),
+            "synthetic_images": (_synthetic_images, {
+                "n_per_class": 400, "n_classes": UNSET, "size": UNSET, "noise_sigma": 0.1,
+                "split_fractions": UNSET, "ind_classes": None, "seed": seed}),
+            "cifar10": (load_cifar10, {"path": UNSET}),
+        },
+        "model": {
+            "mlp": (lambda data, **kw: mlp_regression(data.features.shape[1], **kw),
+                    {"hidden": UNSET, "dropout_rate": UNSET, "tau": UNSET, "name": UNSET,
+                     "seed": seed}),
+            "cnn": (lambda data, **kw: cnn_classifier(
+                        data.features.shape[1:], n_classes=data.n_classes, **kw),
+                    {"conv_channels": (8, 16), "kernel_size": UNSET, "dense_units": (64,),
+                     "dropout_rate": UNSET, "name": UNSET, "seed": seed}),
+        },
+        "train": {"epochs": 100, "batch_size": UNSET, "optimizer": UNSET,
+                  "learning_rate": UNSET, "momentum": UNSET, "loss": UNSET,
+                  "dropout_rates": None, "lr_reduction": {}, "early_stopping": {}, "seed": seed},
+        "train.lr_reduction": {"patience": UNSET, "factor": UNSET, "min_lr": UNSET},
+        "train.early_stopping": {"patience": UNSET},
+    }
+
+
+def _fit(model, data, schema, dropout_rates, lr_reduction, early_stopping, **options):
+    """``train`` on the train section's options; null turns a nested one off."""
+    def nested(section, spec, build):
+        return None if spec is None else _load(section, spec, build, schema[section])
+
+    return train(model, data, TrainConfig(
+        dropout_rates=tuple(dropout_rates) if dropout_rates else None,
+        lr_reduction=nested("train.lr_reduction", lr_reduction, LrReduction),
+        early_stopping=nested("train.early_stopping", early_stopping, EarlyStopping),
+        **options,
+    ))
 
 
 def _read_inputs(path) -> np.ndarray:
@@ -228,14 +228,19 @@ def main():
 def cmd_train(obj, config):
     """Train a model from a JSON config; writes the model file and report."""
     cfg = _load_json(config)
-    seed = cfg.get("seed", obj["seed"])
-    out = _resolve_out(obj, cfg.get("name", "train"))
+    _load("top-level", cfg, partial(_train_run, obj, cfg), {
+        "name": "train", "seed": obj["seed"], "dataset": {}, "model": {}, "train": {},
+        "model_out": f"model{MODEL_FILE_EXTENSION}"})
+
+
+def _train_run(obj, cfg, name, seed, dataset, model, train, model_out):
+    out = _resolve_out(obj, name)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _dataset_from_config(cfg.get("dataset", {}), seed, obj.get("data_dir"))
-    model = _model_from_config(cfg.get("model", {}), dataset, seed)
-    train_cfg = _train_config(cfg.get("train", {}), seed)
-    trained, report = train(model, dataset, train_cfg)
-    model_path = out / cfg.get("model_out", f"model{MODEL_FILE_EXTENSION}")
+    schema = _train_schema(seed)
+    data = _load_kind("dataset", dataset, schema["dataset"], data_dir=obj["data_dir"])
+    net = _load_kind("model", model, schema["model"], data)
+    trained, report = _load("train", train, partial(_fit, net, data, schema), schema["train"])
+    model_path = out / model_out
     save_model(trained, model_path)
     (out / "train_report.json").write_text(
         json.dumps({"config": cfg, "report": report.to_dict()}, indent=2)
@@ -259,15 +264,12 @@ def cmd_compare(obj, model_path, input_path, dataset_config, t, limit):
     if input_path:
         x = _read_inputs(input_path)
     elif dataset_config:
-        ds = _dataset_from_config(_load_json(dataset_config), obj["seed"], obj.get("data_dir"))
+        kinds = _train_schema(obj["seed"])["dataset"]
+        ds = _load_kind("dataset", _load_json(dataset_config), kinds, data_dir=obj["data_dir"])
         x = ds.test_xy()[0]
     else:
         raise click.UsageError("provide --input or --dataset-config")
-    x = x[:limit]
-    report = experiments.run_compare(model, x, t=t, seed=obj["seed"])
-    out = _resolve_out(obj, "compare")
-    paths = report.write(out)
-    click.echo(f"report written to {paths['summary']}")
+    _finish(experiments.run_compare(model, x[:limit], t=t, seed=obj["seed"]), obj, "compare")
 
 
 @cli.group("experiment")
@@ -281,25 +283,15 @@ def _finish(report, obj, name):
     click.echo(f"report written to {paths['summary']}")
 
 
-def _run_experiment(obj, section: str, run, options: dict, aliases=None):
-    """Run the protocol ``run`` on the command's ``options``, updated by the
-    ``--config`` file's ``section``, and write its report.
-
-    The section's keys are ``run``'s parameter names, or their ``aliases``.
-    A key that ``run`` does not take, or an argument that its data or model
-    set-up refuses (a KeyError, TypeError or ValueError), is a data error
-    that names the section; a diverged training stays a numeric failure.
-    """
-    over = obj["config"].get(section, {})
-    if not isinstance(over, dict):
-        raise DataError(f"config section {section!r} must be a JSON object")
-    aliases = aliases or {}
-    kwargs = {**options, **{aliases.get(k, k): v for k, v in over.items()}}
-    try:
-        report = run(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise DataError(f"bad {section!r} config: {detail}") from exc
+def _run_experiment(obj, section: str, run, options: dict, *forwards_to, aliases=None):
+    """Write the report of the protocol ``run`` on the command's ``options``
+    updated by the ``--config`` file's ``section``, which takes the keyword
+    parameters of ``run`` and of the functions it passes its extra keywords to
+    (``forwards_to``), except a ``setup`` object, which no JSON value is."""
+    params = [p for fn in (run, *forwards_to) for p in inspect.signature(fn).parameters.values()]
+    takes = {p.name: UNSET for p in params if p.default is not p.empty and p.name != "setup"}
+    report = _load(section, obj["config"].get(section, {}), run, {**takes, **options},
+                   aliases=aliases)
     _finish(report, obj, section)
 
 
@@ -310,7 +302,8 @@ def _run_experiment(obj, section: str, run, options: dict, aliases=None):
 @click.pass_obj
 def cmd_toy(obj, t, epochs, n):
     _run_experiment(obj, "toy", experiments.run_toy_experiment,
-                    {"t": t, "seed": obj["seed"], "epochs": epochs, "n": n})
+                    {"t": t, "seed": obj["seed"], "epochs": epochs, "n": n},
+                    experiments.train_toy_model)
 
 
 @cmd_experiment.command("uci")
@@ -320,25 +313,30 @@ def cmd_toy(obj, t, epochs, n):
 @click.option("--epochs", type=int, default=200, show_default=True)
 @click.pass_obj
 def cmd_uci(obj, csv_paths, t, epochs):
+    def entry(spec):
+        return _load("uci", spec, dict,
+                     dict.fromkeys(("name", "path", "target_column"), UNSET), obj["data_dir"])
+
     cli_specs = []
     for item in csv_paths:
         parts = item.split(":")
         if len(parts) < 2:
             raise click.UsageError(f"--csv expects path:target_column[:name], got {item!r}")
-        cli_specs.append({
-            "path": str(_resolve_data_path(parts[0], obj.get("data_dir"))),
+        cli_specs.append(entry({
+            "path": parts[0],
             "target_column": parts[1],
             "name": parts[2] if len(parts) > 2 else Path(parts[0]).stem,
-        })
+        }))
 
     def run(datasets=(), **run_kw):
-        specs = [*datasets, *cli_specs]
+        specs = [*map(entry, datasets), *cli_specs]
         if not specs:
             raise click.UsageError("no CSV datasets given (use --csv or a config file)")
         return experiments.run_uci_experiment(specs, **run_kw)
 
     _run_experiment(obj, "uci", run,
                     {"seed": obj["seed"], "threads": obj["threads"], "t_mc": t, "epochs": epochs},
+                    experiments.run_uci_experiment, experiments.uci_run,
                     aliases={"t": "t_mc"})
 
 
@@ -353,7 +351,7 @@ def cmd_ood(obj, seeds, ensemble, t):
     _run_experiment(obj, "ood", experiments.run_ood_experiment,
                     {"seeds": seed_list, "ensemble_size": ensemble, "t": t,
                      "threads": obj["threads"]},
-                    aliases={"ensemble": "ensemble_size"})
+                    experiments.build_ood_setup, aliases={"ensemble": "ensemble_size"})
 
 
 @cmd_experiment.command("filter")
@@ -365,7 +363,7 @@ def cmd_filter(obj, t, ensemble, kind):
     _run_experiment(obj, "filter", experiments.run_filter_experiment,
                     {"t": t, "kind": kind, "ensemble_size": ensemble,
                      "seeds": (obj["seed"],), "threads": obj["threads"]},
-                    aliases={"ensemble": "ensemble_size"})
+                    experiments.build_ood_setup, aliases={"ensemble": "ensemble_size"})
 
 
 @cmd_experiment.command("auc-vs-t")
@@ -376,7 +374,8 @@ def cmd_auc_vs_t(obj, t_list, repeats):
     ts = tuple(int(s) for s in t_list.split(","))
     _run_experiment(obj, "auc_vs_t", experiments.run_auc_vs_t_experiment,
                     {"t_list": ts, "repeats": repeats, "seed": obj["seed"],
-                     "seeds": (obj["seed"],), "ensemble_size": 1, "threads": obj["threads"]})
+                     "seeds": (obj["seed"],), "ensemble_size": 1, "threads": obj["threads"]},
+                    experiments.build_ood_setup)
 
 
 @cli.command("benchmark")

@@ -2,9 +2,9 @@
 
 Gradients are accumulated in reverse through the deterministic forward with
 the sampled dropout masks held fixed; masks are resampled every minibatch.
-Validation is scored with the deterministic forward, the learning rate decays
-on validation plateaus, and the returned weights are the ones from the best
-validation epoch.
+Validation is scored with the moment-propagation forward (``forward_mp``), the
+learning rate decays on validation plateaus, and the returned weights are the
+ones from the best validation epoch.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .network import (
     ModelMeta,
     ModelSpec,
     MomentPropagation,
+    _positive_sizes,
     forward_mp,
     predict,
 )
@@ -47,6 +48,15 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the loss stops being finite."""
 
 
+def _finite(value) -> bool:
+    """Whether value is a finite real number; a bool or a string is not."""
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value))
+    )
+
+
 @dataclass
 class LrReduction:
     patience: int = 5
@@ -54,10 +64,12 @@ class LrReduction:
     min_lr: float = 1e-6
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("lr patience must be >= 1")
-        if not (0.0 < self.factor < 1.0):
-            raise ValueError("lr factor must be in (0, 1)")
+        if not _positive_sizes((self.patience,)):
+            raise ValueError(f"lr patience must be an integer >= 1, got {self.patience!r}")
+        if not (_finite(self.factor) and 0.0 < self.factor < 1.0):
+            raise ValueError(f"lr factor must be in (0, 1), got {self.factor!r}")
+        if not (_finite(self.min_lr) and self.min_lr >= 0.0):
+            raise ValueError(f"min_lr must be finite and >= 0, got {self.min_lr!r}")
 
 
 @dataclass
@@ -65,8 +77,10 @@ class EarlyStopping:
     patience: int = 10
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("early-stopping patience must be >= 1")
+        if not _positive_sizes((self.patience,)):
+            raise ValueError(
+                f"early-stopping patience must be an integer >= 1, got {self.patience!r}"
+            )
 
 
 @dataclass
@@ -83,10 +97,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not _positive_sizes((self.epochs, self.batch_size)):
+            raise ValueError(
+                f"epochs and batch_size must be integers >= 1, "
+                f"got {self.epochs!r} and {self.batch_size!r}"
+            )
+        if not (_finite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (_finite(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in ("mse", "categorical_nll"):

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import zlib
 
@@ -68,7 +70,66 @@ class TestTrainCommand:
         path.write_text(json.dumps(cfg))
         result = runner.invoke(cli, ["--out", str(tmp_path / "o"), "train", str(path)])
         assert result.exit_code == 3, result.output
-        assert "bad dataset config" in result.output and "Traceback" not in result.output
+        assert "bad 'dataset' config" in result.output and "Traceback" not in result.output
+
+    BASES = {
+        "mlp": {"dataset": {"kind": "toy", "n": 64}, "model": {"kind": "mlp", "hidden": [4]},
+                "train": {"epochs": 1, "loss": "mse"}},
+        "cnn": {"dataset": {"kind": "synthetic_images", "n_per_class": 4, "n_classes": 3,
+                            "size": 8},
+                "model": {"kind": "cnn", "conv_channels": [2], "dense_units": [4]},
+                "train": {"epochs": 1, "loss": "categorical_nll"}},
+    }
+
+    @pytest.mark.parametrize("base, path, value, section", [
+        pytest.param("mlp", ("dataset", "noise_sigam"), 0.2, "dataset", id="dataset-key"),
+        pytest.param("mlp", ("model", "pool_size"), 2, "model", id="model-key"),
+        pytest.param("mlp", ("train", "learning_rte"), 5.0, "train", id="train-key"),
+        pytest.param("mlp", ("train", "lr_reduction"), {"patince": 3}, "train.lr_reduction",
+                     id="lr_reduction-key"),
+        pytest.param("mlp", ("nmae",), "x", "top-level", id="top-level-key"),
+        pytest.param("mlp", ("model", "dropout_rate"), 1.5, "model", id="dropout_rate-1.5"),
+        pytest.param("mlp", ("train", "epochs"), 0, "train", id="epochs-0"),
+        pytest.param("mlp", ("train", "epochs"), 2.5, "train", id="epochs-2.5"),
+        pytest.param("mlp", ("train", "batch_size"), 8.5, "train", id="batch_size-8.5"),
+        pytest.param("mlp", ("train", "learning_rate"), -1.0, "train", id="learning_rate--1"),
+        pytest.param("mlp", ("train", "learning_rate"), "0.1", "train",
+                     id="learning_rate-string"),
+        pytest.param("mlp", ("train", "lr_reduction"), {"patience": 0}, "train.lr_reduction",
+                     id="lr_patience-0"),
+        pytest.param("cnn", ("train", "loss"), "mse", "train", id="cnn-mse"),
+    ])
+    def test_bad_train_config_is_data_error(self, runner, tmp_path, base, path, value, section):
+        cfg = copy.deepcopy(self.BASES[base])
+        *parents, key = path
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        result = runner.invoke(cli, ["--out", str(tmp_path / "o"), "train", str(config)])
+        assert result.exit_code == 3, result.output
+        assert f"bad {section!r} config" in result.output and "Traceback" not in result.output
+
+    @pytest.mark.parametrize("cfg, digest", [
+        ({"seed": 5, "dataset": {"kind": "toy"}, "model": {"kind": "mlp", "hidden": [8]},
+          "train": {"loss": "mse"}},
+         "dd6f583a276d60389ef1c663fbd64a0a1726e848307e5c6a71809bbf142c575a"),
+        ({"seed": 5, "dataset": {"kind": "synthetic_images", "n_per_class": 6},
+          "model": {"kind": "cnn"},
+          "train": {"epochs": 2, "loss": "categorical_nll", "batch_size": 16}},
+         "54d27d0b4fd3763d9bdf7c5332d802fcbd8deae2859d55be4871ef932e90aacf"),
+    ], ids=["mlp", "cnn"])
+    def test_model_file_is_pinned(self, runner, tmp_path, cfg, digest):
+        """The CLI defaults (toy n, image noise_sigma and n_per_class, cnn
+        widths, 100 epochs) and the seeded training give these exact bytes."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["--out", str(out), "train", str(config)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256((out / "model.mpmdl").read_bytes()).hexdigest() == digest
 
     def test_data_dir_resolves_relative_paths(self, runner, tmp_path):
         data_dir = tmp_path / "datasets"
@@ -131,6 +192,15 @@ class TestCompareCommand:
     def test_requires_some_input(self, runner, trained_model_path):
         result = runner.invoke(cli, ["compare", str(trained_model_path)])
         assert result.exit_code == 2
+
+    def test_unknown_dataset_config_key_is_data_error(self, runner, trained_model_path,
+                                                      tmp_path):
+        spec = tmp_path / "ds.json"
+        spec.write_text(json.dumps({"kind": "toy", "n": 64, "noise_sigam": 0.2}))
+        result = runner.invoke(cli, ["--out", str(tmp_path / "c"), "compare",
+                                     str(trained_model_path), "--dataset-config", str(spec)])
+        assert result.exit_code == 3, result.output
+        assert "bad 'dataset' config" in result.output and "noise_sigam" in result.output
 
 
 class TestPredictCommand:
@@ -212,19 +282,21 @@ class TestExperimentCommands:
         x, y = gen_tabular_regression(50, n_features=3, seed=0)
         csv_path = tmp_path / "hand.csv"
         write_regression_csv(csv_path, x, y)
-        over = {"uci": {"epochs": 5, "t": 50,
-                        "datasets": [{"name": "hand", "path": str(csv_path),
-                                      "target_column": "y"}]}}
-        cfg = tmp_path / "over.json"
-        cfg.write_text(json.dumps(over))
-        out = tmp_path / "uci"
-        result = runner.invoke(cli, ["--out", str(out), "--config", str(cfg),
-                                     "experiment", "uci"])
-        assert result.exit_code == 0, result.output
-        header = (out / "benchmark.csv").read_text().splitlines()[0].split(",")
-        for col in ("dataset", "n", "q", "rmse_mc", "nll_mc", "rt_mc_s",
-                    "rmse_mp", "nll_mp", "rt_mp_s"):
-            assert col in header
+        # an absolute path, then a relative one resolved against --data-dir
+        for path, extra in ((str(csv_path), []), ("hand.csv", ["--data-dir", str(tmp_path)])):
+            over = {"uci": {"epochs": 5, "t": 50,
+                            "datasets": [{"name": "hand", "path": path,
+                                          "target_column": "y"}]}}
+            cfg = tmp_path / "over.json"
+            cfg.write_text(json.dumps(over))
+            out = tmp_path / f"uci{len(extra)}"
+            result = runner.invoke(cli, ["--out", str(out), "--config", str(cfg), *extra,
+                                         "experiment", "uci"])
+            assert result.exit_code == 0, result.output
+            header = (out / "benchmark.csv").read_text().splitlines()[0].split(",")
+            for col in ("dataset", "n", "q", "rmse_mc", "nll_mc", "rt_mc_s",
+                        "rmse_mp", "nll_mp", "rt_mp_s"):
+                assert col in header
 
     def test_uci_without_datasets_is_usage_error(self, runner):
         assert runner.invoke(cli, ["experiment", "uci"]).exit_code == 2
@@ -286,6 +358,8 @@ class TestExperimentCommands:
         ("auc-vs-t", "auc_vs_t", {"ind_classes": [0, 99]}),
         ("toy", "toy", {"no_such_option": 1}),
         ("uci", "uci", {"datasets": [{"name": "hand", "path": "hand.csv"}]}),
+        ("uci", "uci", {"datasets": [{"name": "hand", "path": "hand.csv",
+                                      "target_column": "y", "sep": ","}]}),
     ])
     def test_bad_config_is_data_error(self, runner, tmp_path, command, section, over):
         x, y = gen_tabular_regression(20, n_features=2, seed=0)
@@ -296,6 +370,14 @@ class TestExperimentCommands:
                                      "--data-dir", str(tmp_path), "experiment", command])
         assert result.exit_code == 3, result.output
         assert f"bad {section!r} config" in result.output
+
+    def test_config_that_is_not_an_object_is_data_error(self, runner, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1]")
+        for args in (["--config", str(cfg), "experiment", "toy"], ["train", str(cfg)]):
+            result = runner.invoke(cli, ["--out", str(tmp_path / "run"), *args])
+            assert result.exit_code == 3, result.output
+            assert "is not a JSON object" in result.output
 
     def test_diverged_experiment_training_is_numeric_failure(self, runner, tmp_path):
         over = {"toy": {"epochs": 30, "t": 10, "n": 64, "hidden": [8], "batch_size": 32,

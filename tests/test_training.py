@@ -546,6 +546,37 @@ class TestTrain:
         assert trained.metadata.seed == 3
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("cls, name, value", [
+        (TrainConfig, "epochs", 0),
+        (TrainConfig, "epochs", 2.5),
+        (TrainConfig, "epochs", True),
+        (TrainConfig, "batch_size", 8.5),
+        (TrainConfig, "batch_size", 0),
+        (TrainConfig, "learning_rate", -1.0),
+        (TrainConfig, "learning_rate", 0.0),
+        (TrainConfig, "learning_rate", float("inf")),
+        (TrainConfig, "learning_rate", float("nan")),
+        (TrainConfig, "learning_rate", "0.1"),
+        (TrainConfig, "momentum", 1.0),
+        (TrainConfig, "momentum", -0.1),
+        (TrainConfig, "momentum", float("nan")),
+        (LrReduction, "patience", 0),
+        (LrReduction, "patience", 1.5),
+        (LrReduction, "factor", "0.5"),
+        (LrReduction, "min_lr", -1e-6),
+        (LrReduction, "min_lr", float("nan")),
+        (EarlyStopping, "patience", 0),
+        (EarlyStopping, "patience", 2.5),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_refuses_bad_fields(self, cls, name, value):
+        """Each field is checked where the config is built, before train()
+        could die in range() or run with a negative learning rate."""
+        kwargs = {"epochs": 1} if cls is TrainConfig else {}
+        with pytest.raises(ValueError):
+            cls(**{**kwargs, name: value})
+
+
 class TestGridSearch:
     @staticmethod
     def make_data(tau_true=4.0, n=240, seed=0):
