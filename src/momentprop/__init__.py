@@ -48,7 +48,7 @@ from .network import (
     predict,
     save_model,
 )
-from .mc import MomentEstimate, SampleBatch, estimate_moments, layer_oracle, mc_forward
+from .mc import MomentEstimate, SampleBatch, estimate_moments, mc_forward
 from .training import (
     EarlyStopping,
     GridSearchResult,

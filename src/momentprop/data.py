@@ -100,16 +100,13 @@ class Dataset:
         return {tag: int((self.split == tag).sum()) for tag in _TAGS}
 
 
-def _split_tags(n: int, fractions, rng: np.random.Generator | None) -> np.ndarray:
+def _split_tags(n: int, fractions) -> np.ndarray:
     f_train, f_val, f_test = fractions
     if min(fractions) < 0 or f_train + f_val + f_test > 1.0 + 1e-9:
         raise ValueError(f"bad split fractions {fractions}")
     n_train = int(n * f_train)
     n_val = int(n * f_val)
-    tags = np.array([TRAIN] * n_train + [VAL] * n_val + [TEST] * (n - n_train - n_val))
-    if rng is not None:
-        tags = tags[rng.permutation(n)]
-    return tags
+    return np.array([TRAIN] * n_train + [VAL] * n_val + [TEST] * (n - n_train - n_val))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +233,7 @@ def load_csv_regression(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(table))
     features, targets = features[perm], targets[perm]
-    split = _split_tags(len(table), split_fractions, rng=None)
+    split = _split_tags(len(table), split_fractions)
     ds = Dataset(features=features, targets=targets, split=split, task="regression")
     return standardize_regression(ds) if standardize else ds
 
@@ -421,7 +418,7 @@ def gen_synthetic_images(
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     perm = rng.permutation(len(labels))
     images, labels = images[perm], labels[perm]
-    split = _split_tags(len(labels), split_fractions, rng=None)
+    split = _split_tags(len(labels), split_fractions)
     return Dataset(
         features=images, targets=labels, split=split,
         task="classification", n_classes=n_classes,

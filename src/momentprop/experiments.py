@@ -36,7 +36,7 @@ from .network import (
     forward_mp,
     mlp_regression,
 )
-from .training import TrainConfig, train
+from .training import TrainConfig, grid_search_uci, train
 
 
 @dataclass
@@ -274,8 +274,6 @@ def uci_run(
 ) -> dict:
     """One benchmark-table row: pick hyperparameters on validation NLL, then
     score the test split with sampling (T passes) and with propagation."""
-    from .training import grid_search_uci
-
     in_dim = data.features.shape[1]
     cfg = TrainConfig(epochs=epochs, batch_size=32, loss="mse", seed=seed)
 

@@ -3,7 +3,10 @@
 * ``*_det``    deterministic inference (dropout rescales by its keep rate),
 * ``*_sample`` stochastic inference (Bernoulli dropout masks drawn at call
   time from an explicitly passed generator; no hidden global RNG),
-* ``*_mp``     single-pass propagation of expectation and variance.
+* ``*_mp``     single-pass propagation of expectation and variance,
+
+plus the trainer's cached forward and reverse step (``_<kind>_forward`` /
+``_<kind>_backward``; the one-line ones are inline in ``network.KINDS``).
 
 Array layout is channels-first.  Every op accepts a single example at the
 layer's natural rank or the same with one leading batch axis.  All functions
@@ -343,6 +346,17 @@ def dense_mp(mt: MomentTensor, spec: DenseSpec) -> MomentTensor:
     return MomentTensor._unchecked(e_out, v_out)
 
 
+def _dense_forward(h, layer, p, mask):
+    out = h @ p["w"]
+    out += p["b"]
+    return out, h
+
+
+def _dense_backward(grad, x, layer, p, need_input):
+    grads = {"w": x.T @ grad, "b": grad.sum(axis=0)}
+    return (grad @ p["w"].T if need_input else None), grads
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -417,6 +431,42 @@ def conv2d_mp(mt: MomentTensor, spec: Conv2DSpec) -> MomentTensor:
     return MomentTensor._unchecked(_unbatch(e_out, squeeze), _unbatch(v_out, squeeze))
 
 
+def _col2im(dcols, x_shape, kh, kw, stride, pads, oh, ow):
+    b, c, h, w = x_shape
+    pt, pb, pl, pr = pads
+    dxp = np.zeros((b, c, h + pt + pb, w + pl + pr))
+    dwin = dcols.reshape(b, c, kh, kw, oh, ow)
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki : ki + oh * stride : stride, kj : kj + ow * stride : stride] += (
+                dwin[:, :, ki, kj]
+            )
+    return dxp[:, :, pt : pt + h, pl : pl + w]
+
+
+def _conv_forward(h, layer, p, mask):
+    w = p["w"]
+    kh, kw = w.shape[2], w.shape[3]
+    _, _, pads = _conv_geometry(h.shape[2], h.shape[3], kh, kw, layer.stride, layer.padding)
+    cols, oh, ow = _im2col(h, kh, kw, layer.stride, pads)
+    out = _conv_apply(cols, w.reshape(w.shape[0], -1), p["b"], oh, ow)
+    return out, (cols, h.shape, oh, ow, pads)
+
+
+def _conv_backward(grad, cache, layer, p, need_input):
+    cols, x_shape, oh, ow, pads = cache
+    w = p["w"]
+    dmat = grad.reshape(grad.shape[0], w.shape[0], oh * ow)
+    # (OC, B*L) @ (B*L, K): tensordot copies the patches into that
+    # operand; one GEMM over the whole batch keeps the summation order
+    dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
+    grads = {"w": dk.reshape(w.shape), "b": grad.sum(axis=(0, 2, 3))}
+    if not need_input:
+        return None, grads
+    dcols = w.reshape(w.shape[0], -1).T @ dmat
+    return _col2im(dcols, x_shape, w.shape[2], w.shape[3], layer.stride, pads, oh, ow), grads
+
+
 # ---------------------------------------------------------------------------
 # relu
 
@@ -469,6 +519,11 @@ def _relu_arrays(e, v):
     _record_clamps(np.count_nonzero(v_out < 0.0))
     np.maximum(v_out, 0.0, out=v_out)
     return e_out, v_out
+
+
+def _relu_forward(h, layer, p, mask):
+    pos = h > 0.0
+    return h * pos, pos
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +633,31 @@ def maxpool2d_mp(mt: MomentTensor, spec: MaxPool2DSpec) -> MomentTensor:
     e = e.reshape(b, c, h, w)
     v = v.reshape(b, c, h, w)
     return MomentTensor._unchecked(_unbatch(e, squeeze), _unbatch(v, squeeze))
+
+
+def _pool_forward(h, layer, p, mask):
+    # running max over the window offsets; idx keeps the first to reach it
+    n, win = layer.size, _pool_view(h, layer.size)
+    out = win[:, :, :, 0, :, 0].copy()
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(n * n - 1))
+    for k in range(1, n * n):
+        cand = win[:, :, :, k // n, :, k % n]
+        np.copyto(idx, k, where=cand > out)
+        np.maximum(out, cand, out=out)
+    out += 0.0  # +0.0 for a zero maximum, as in maxpool2d_det
+    return out, (idx, h.shape)
+
+
+def _pool_backward(grad, cache, layer, p, need_input):
+    # each gradient goes to its window's winning offset; cropped rows and
+    # columns stay zero
+    idx, x_shape = cache
+    n = layer.size
+    dx = np.zeros(x_shape)
+    dwin = _pool_view(dx, n)
+    for k in range(n * n):
+        np.copyto(dwin[:, :, :, k // n, :, k % n], grad, where=idx == k)
+    return dx, {}
 
 
 # ---------------------------------------------------------------------------

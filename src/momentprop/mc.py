@@ -1,14 +1,14 @@
-"""Dropout sampling executor and the brute-force statistical oracles that
-validate every propagated moment.
+"""Dropout sampling executor and sample-moment estimates.
 
 Reproducibility contract: each (sample index, dropout layer index) pair gets
 its own RNG stream keyed by the run seed, so results are bit-identical no
 matter how or in what order the samples are evaluated.  A key is the four
 words ``np.random.SeedSequence(entropy=seed, spawn_key=(sample, layer))``
 would hand PCG64; ``stream_keys`` derives many at once, in one vectorized
-pass, and ``sample_stream`` one.  ``mc_forward`` calls ``stream_keys`` and
-``dropout_sample`` through their module-level names, so a wrapper assigned
-to either name sees every call.
+pass, and ``sample_stream`` builds one stream through ``SeedSequence``
+itself, the reference those keys must match.  ``mc_forward`` calls
+``stream_keys`` and ``dropout_sample`` through their module-level names, so
+a wrapper assigned to either name sees every call.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import network
-from .layers import Conv2DSpec, DropoutSpec, MaxPool2DSpec, _conv_geometry, dropout_sample
-from .moments import MomentTensor
+from .layers import DropoutSpec, dropout_sample
 
 # SeedSequence's hash, O'Neill's seed_seq_fe (numpy.random.bit_generator):
 # 32-bit words, a 4-word pool, one multiplier sequence for mixing entropy in
@@ -140,8 +139,13 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 
 def sample_stream(seed: int, sample_index: int, layer_index: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, sample, layer)."""
-    return _generator(stream_keys(seed, (sample_index,), (layer_index,))[0, 0])
+    """Independent generator keyed by (seed, sample, layer), seeded by
+    numpy's ``SeedSequence``; the seed and indices are checked as in
+    ``stream_keys``."""
+    seed = network._check_seed(seed)
+    key = (int(_index_words((sample_index,), "sample")[0]),
+           int(_index_words((layer_index,), "layer")[0]))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 @dataclass(frozen=True)
@@ -229,123 +233,3 @@ def mc_forward(model: network.ModelSpec, x, t: int, seed: int = 0) -> SampleBatc
             )
             outputs.append(out[0] if squeeze else out)
     return SampleBatch(outputs=np.stack(outputs, axis=0), t=t, seed=seed)
-
-
-class _RunningMoments:
-    """Streaming raw power sums so huge oracle runs stay memory-bounded."""
-
-    def __init__(self):
-        self.n = 0.0
-        self.s1 = self.s2 = self.s3 = self.s4 = 0.0
-
-    def add(self, chunk: np.ndarray) -> None:
-        self.n += chunk.shape[0]
-        self.s1 = self.s1 + chunk.sum(axis=0)
-        sq = np.square(chunk)
-        self.s2 = self.s2 + sq.sum(axis=0)
-        self.s3 = self.s3 + (sq * chunk).sum(axis=0)
-        self.s4 = self.s4 + np.square(sq).sum(axis=0)
-
-    def finalize(self) -> MomentEstimate:
-        if self.n < 2:
-            raise ValueError("need at least 2 samples")
-        return _moments_from_power_sums(self.n, self.s1, self.s2, self.s3, self.s4)
-
-
-def layer_oracle(
-    layer,
-    input_dist,
-    n_samples: int,
-    seed: int = 0,
-    chunk_size: int = 200_000,
-    component: int | None = None,
-) -> MomentEstimate:
-    """Estimate a layer's output moments by brute force.
-
-    input_dist is either a MomentTensor (independent Gaussian inputs) or a
-    plain array (a fixed point input).  The layer is applied to each draw via
-    its kind's det op, except dropout which samples fresh masks.
-    If ``component`` is given, only that flat output component's moments are
-    accumulated (the layer itself is still applied in full).
-    """
-    rng = np.random.default_rng(seed)
-    if isinstance(input_dist, MomentTensor):
-        mean = input_dist.expectation
-        std = np.sqrt(input_dist.variance)
-        point = None
-    else:
-        point = np.asarray(input_dist, dtype=np.float64)
-        mean = np.asarray(input_dist, dtype=np.float64)
-        std = np.zeros_like(mean)
-    if int(n_samples) < 2:
-        raise ValueError("need at least 2 oracle samples")
-
-    # For conv/pool layers checked at a single component, draw only that
-    # component's receptive field and evaluate the output by its definition;
-    # statistically identical (other inputs cannot affect the component) and
-    # independent of the production patch-matrix code path.
-    field = _RECEPTIVE_FIELDS.get(type(layer)) if component is not None else None
-    reducer = None
-    if field is not None:
-        mean, std, reducer = field(layer, mean, std, component)
-    det = network.kind_of(layer).det
-
-    acc = _RunningMoments()
-    remaining = int(n_samples)
-    while remaining > 0:
-        n = min(chunk_size, remaining)
-        remaining -= n
-        if point is not None and reducer is None:
-            draws = np.broadcast_to(point, (n,) + point.shape).copy()
-        else:
-            draws = mean + std * rng.standard_normal((n,) + mean.shape)
-        if reducer is not None:
-            out = reducer(draws)
-        elif isinstance(layer, DropoutSpec):
-            out = dropout_sample(draws, layer, rng)
-        else:
-            out = det(draws, layer)
-        if component is not None and reducer is None:
-            out = out.reshape(out.shape[0], -1)[:, component]
-        acc.add(out)
-    return acc.finalize()
-
-
-def _conv_field(layer, mean, std, component):
-    """Moments of one conv output component's input patch plus its evaluator."""
-    _, h, w = mean.shape
-    kh, kw = layer.kernel_size
-    oh, ow, (pt, _, pl, _) = _conv_geometry(h, w, kh, kw, layer.stride, layer.padding)
-    oc_i, rest = divmod(component, oh * ow)
-    y, x = divmod(rest, ow)
-    mp_ = np.pad(mean, ((0, 0), (pt, kh), (pl, kw)))  # generous right/bottom pad
-    sp_ = np.pad(std, ((0, 0), (pt, kh), (pl, kw)))
-    y0, x0 = y * layer.stride, x * layer.stride
-    patch_mean = mp_[:, y0 : y0 + kh, x0 : x0 + kw]
-    patch_std = sp_[:, y0 : y0 + kh, x0 : x0 + kw]
-    kern = layer.kernel[oc_i]
-    bias = layer.bias[oc_i]
-
-    def reducer(draws):
-        return np.tensordot(draws, kern, axes=([1, 2, 3], [0, 1, 2])) + bias
-
-    return patch_mean, patch_std, reducer
-
-
-def _pool_field(layer, mean, std, component):
-    """Moments of one pooled output component's window plus its evaluator."""
-    _, h, w = mean.shape
-    n = layer.size
-    oh, ow = h // n, w // n
-    c_i, rest = divmod(component, oh * ow)
-    y, x = divmod(rest, ow)
-    patch_mean = mean[c_i, y * n : (y + 1) * n, x * n : (x + 1) * n]
-    patch_std = std[c_i, y * n : (y + 1) * n, x * n : (x + 1) * n]
-
-    def reducer(draws):
-        return draws.reshape(draws.shape[0], -1).max(axis=1)
-
-    return patch_mean, patch_std, reducer
-
-
-_RECEPTIVE_FIELDS = {Conv2DSpec: _conv_field, MaxPool2DSpec: _pool_field}

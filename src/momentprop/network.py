@@ -30,7 +30,14 @@ from .layers import (
     MaxPool2DSpec,
     ReluSpec,
     SoftmaxSpec,
+    _conv_backward,
+    _conv_forward,
     _conv_geometry,
+    _dense_backward,
+    _dense_forward,
+    _pool_backward,
+    _pool_forward,
+    _relu_forward,
     conv2d_det,
     conv2d_mp,
     dense_det,
@@ -125,7 +132,9 @@ class LayerKind:
 
     ``det`` and ``mp`` look the module's ``*_det`` / ``*_mp`` functions up by
     name when called, so a wrapper assigned to ``network.dense_det`` (say)
-    sees every dense call of every walker.
+    sees every dense call of every walker.  The trainer's ops read the
+    layer's weights from its parameter dict ``p`` ("w", "b"); a softmax head
+    has none, as the loss absorbs it.
     """
 
     name: str  # the manifest's "kind"
@@ -134,6 +143,8 @@ class LayerKind:
     det: Callable  # (batched array, layer, out=None) -> array; only in_place kinds use out
     mp: Callable  # (MomentTensor, layer) -> MomentTensor, or probabilities after softmax
     build: Callable  # (manifest entry, tensors) -> layer
+    train_forward: Callable | None  # (h, layer, p, mask or None) -> (out, cache)
+    train_backward: Callable | None  # (grad, cache, layer, p, need_input) -> (dx or None, grads)
     tensors: Callable = lambda layer: []  # the weight tensors, in file order
     tensor_shapes: Callable = lambda entry: []  # their shapes, from a checked entry
     in_place: bool = False  # elementwise: det may write into its input, given as out
@@ -152,12 +163,15 @@ KINDS: dict[type, LayerKind] = {
         "dropout", ("rate",), _same_shape,
         lambda h, l, out=None: dropout_det(h, l, out), lambda mt, l: dropout_mp(mt, l),
         lambda e, t: DropoutSpec(rate=float(e["rate"])),
+        train_forward=lambda h, l, p, mask: (h * mask, mask),
+        train_backward=lambda g, mask, l, p, need: (g * mask, {}),
         in_place=True,
     ),
     DenseSpec: LayerKind(
         "dense", ("in_dim", "out_dim"), _dense_shape,
         lambda h, l, out=None: dense_det(h, l), lambda mt, l: dense_mp(mt, l),
         lambda e, t: DenseSpec(weights=t[0], bias=t[1]),
+        train_forward=_dense_forward, train_backward=_dense_backward,
         tensors=lambda l: [l.weights, l.bias],
         tensor_shapes=lambda e: [(e["in_dim"], e["out_dim"]), (e["out_dim"],)],
     ),
@@ -168,6 +182,7 @@ KINDS: dict[type, LayerKind] = {
         lambda e, t: Conv2DSpec(
             kernel=t[0], bias=t[1], padding=e["padding"], stride=int(e["stride"])
         ),
+        train_forward=_conv_forward, train_backward=_conv_backward,
         tensors=lambda l: [l.kernel, l.bias],
         tensor_shapes=lambda e: [
             (e["out_channels"], e["in_channels"], *e["kernel_size"]), (e["out_channels"],)
@@ -177,11 +192,15 @@ KINDS: dict[type, LayerKind] = {
         "maxpool2d", ("size",), _pool_shape,
         lambda h, l, out=None: maxpool2d_det(h, l), lambda mt, l: maxpool2d_mp(mt, l),
         lambda e, t: MaxPool2DSpec(size=int(e["size"])),
+        train_forward=_pool_forward, train_backward=_pool_backward,
     ),
     ReluSpec: LayerKind(
         "relu", (), _same_shape,
         lambda h, l, out=None: relu_det(h, out), lambda mt, l: relu_mp(mt),
-        lambda e, t: ReluSpec(), in_place=True,
+        lambda e, t: ReluSpec(),
+        train_forward=_relu_forward,
+        train_backward=lambda g, pos, l, p, need: (g * pos, {}),
+        in_place=True,
     ),
     FlattenSpec: LayerKind(
         "flatten", (), lambda l, shape: (int(np.prod(shape)),),
@@ -191,13 +210,16 @@ KINDS: dict[type, LayerKind] = {
             mt.variance.reshape(len(mt.expectation), -1),
         ),
         lambda e, t: FlattenSpec(),
+        train_forward=lambda h, l, p, mask: (h.reshape(h.shape[0], -1), h.shape),
+        train_backward=lambda g, shape, l, p, need: (g.reshape(shape), {}),
     ),
     SoftmaxSpec: LayerKind(
         "softmax", (), _softmax_shape,
         lambda h, l, out=None: softmax_det(h), lambda mt, l: softmax_mp(mt),
-        lambda e, t: SoftmaxSpec(),
+        lambda e, t: SoftmaxSpec(), train_forward=None, train_backward=None,
     ),
 }
+
 _KINDS_BY_NAME = {kind.name: kind for kind in KINDS.values()}
 
 

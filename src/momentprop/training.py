@@ -12,24 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset
-from .layers import (
-    Conv2DSpec,
-    DenseSpec,
-    DropoutSpec,
-    FlattenSpec,
-    MaxPool2DSpec,
-    ReluSpec,
-    _conv_apply,
-    _conv_geometry,
-    _im2col,
-    _pool_view,
-)
+from .layers import DropoutSpec
 from .metrics import regression_nll_mp
 from .network import (
     KINDS,
@@ -149,15 +137,8 @@ def _rebuild_model(model: ModelSpec, params, cfg: TrainConfig) -> ModelSpec:
     for layer, p in zip(model.layers, params):
         kind = KINDS[type(layer)]
         layers.append(kind.build(kind.entry(layer), list(p.values())))
-    return ModelSpec(
-        layers=tuple(layers),
-        input_shape=model.input_shape,
-        task=model.task,
-        tau=model.tau,
-        metadata=ModelMeta(
-            name=model.metadata.name, seed=cfg.seed, config_digest=cfg.digest()
-        ),
-    )
+    meta = ModelMeta(name=model.metadata.name, seed=cfg.seed, config_digest=cfg.digest())
+    return replace(model, layers=tuple(layers), metadata=meta)
 
 
 def override_dropout(model: ModelSpec, rates: tuple[float, ...]) -> ModelSpec:
@@ -168,13 +149,7 @@ def override_dropout(model: ModelSpec, rates: tuple[float, ...]) -> ModelSpec:
     layers = list(model.layers)
     for i, rate in zip(found, rates):
         layers[i] = DropoutSpec(rate)
-    return ModelSpec(
-        layers=tuple(layers),
-        input_shape=model.input_shape,
-        task=model.task,
-        tau=model.tau,
-        metadata=model.metadata,
-    )
+    return replace(model, layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -189,113 +164,6 @@ def _train_layers(model: ModelSpec):
     return model.layers
 
 
-def _col2im(dcols, x_shape, kh, kw, stride, pads, oh, ow):
-    b, c, h, w = x_shape
-    pt, pb, pl, pr = pads
-    dxp = np.zeros((b, c, h + pt + pb, w + pl + pr))
-    dwin = dcols.reshape(b, c, kh, kw, oh, ow)
-    for ki in range(kh):
-        for kj in range(kw):
-            dxp[:, :, ki : ki + oh * stride : stride, kj : kj + ow * stride : stride] += (
-                dwin[:, :, ki, kj]
-            )
-    return dxp[:, :, pt : pt + h, pl : pl + w]
-
-
-def _dense_forward(h, layer, p, mask):
-    out = h @ p["w"]
-    out += p["b"]
-    return out, h
-
-
-def _dense_backward(grad, x, layer, p, need_input):
-    grads = {"w": x.T @ grad, "b": grad.sum(axis=0)}
-    return (grad @ p["w"].T if need_input else None), grads
-
-
-def _conv_forward(h, layer, p, mask):
-    w = p["w"]
-    kh, kw = w.shape[2], w.shape[3]
-    _, _, pads = _conv_geometry(h.shape[2], h.shape[3], kh, kw, layer.stride, layer.padding)
-    cols, oh, ow = _im2col(h, kh, kw, layer.stride, pads)
-    out = _conv_apply(cols, w.reshape(w.shape[0], -1), p["b"], oh, ow)
-    return out, (cols, h.shape, oh, ow, pads)
-
-
-def _conv_backward(grad, cache, layer, p, need_input):
-    cols, x_shape, oh, ow, pads = cache
-    w = p["w"]
-    dmat = grad.reshape(grad.shape[0], w.shape[0], oh * ow)
-    # (OC, B*L) @ (B*L, K): tensordot copies the patches into that
-    # operand; one GEMM over the whole batch keeps the summation order
-    dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
-    grads = {"w": dk.reshape(w.shape), "b": grad.sum(axis=(0, 2, 3))}
-    if not need_input:
-        return None, grads
-    dcols = w.reshape(w.shape[0], -1).T @ dmat
-    return _col2im(dcols, x_shape, w.shape[2], w.shape[3], layer.stride, pads, oh, ow), grads
-
-
-def _pool_forward(h, layer, p, mask):
-    # running max over the window offsets; idx keeps the first to reach it
-    n, win = layer.size, _pool_view(h, layer.size)
-    out = win[:, :, :, 0, :, 0].copy()
-    idx = np.zeros(out.shape, dtype=np.min_scalar_type(n * n - 1))
-    for k in range(1, n * n):
-        cand = win[:, :, :, k // n, :, k % n]
-        np.copyto(idx, k, where=cand > out)
-        np.maximum(out, cand, out=out)
-    out += 0.0  # +0.0 for a zero maximum, as in maxpool2d_det
-    return out, (idx, h.shape)
-
-
-def _pool_backward(grad, cache, layer, p, need_input):
-    # each gradient goes to its window's winning offset; cropped rows and
-    # columns stay zero
-    idx, x_shape = cache
-    n = layer.size
-    dx = np.zeros(x_shape)
-    dwin = _pool_view(dx, n)
-    for k in range(n * n):
-        np.copyto(dwin[:, :, :, k // n, :, k % n], grad, where=idx == k)
-    return dx, {}
-
-
-def _relu_forward(h, layer, p, mask):
-    pos = h > 0.0
-    return h * pos, pos
-
-
-@dataclass(frozen=True)
-class TrainOp:
-    """The trainer's ops for one layer kind.
-
-    ``forward(h, layer, params, mask)`` returns the output and what the
-    reverse step needs; ``backward(grad, cache, layer, params, need_input)``
-    returns the input gradient (None unless need_input) and the parameter
-    gradients.
-    """
-
-    forward: Callable
-    backward: Callable
-
-
-# A softmax head is folded into the loss (_train_layers), so it has no op.
-TRAIN_OPS: dict[type, TrainOp] = {
-    DropoutSpec: TrainOp(
-        lambda h, l, p, mask: (h * mask, mask), lambda g, mask, l, p, need: (g * mask, {})
-    ),
-    DenseSpec: TrainOp(_dense_forward, _dense_backward),
-    Conv2DSpec: TrainOp(_conv_forward, _conv_backward),
-    MaxPool2DSpec: TrainOp(_pool_forward, _pool_backward),
-    ReluSpec: TrainOp(_relu_forward, lambda g, pos, l, p, need: (g * pos, {})),
-    FlattenSpec: TrainOp(
-        lambda h, l, p, mask: (h.reshape(h.shape[0], -1), h.shape),
-        lambda g, shape, l, p, need: (g.reshape(shape), {}),
-    ),
-}
-
-
 def _forward_cached(layers, params, x, masks):
     """Forward through the stack caching what the reverse pass needs.
 
@@ -305,7 +173,7 @@ def _forward_cached(layers, params, x, masks):
     h = x
     caches = []
     for i, layer in enumerate(layers):
-        h, cache = TRAIN_OPS[type(layer)].forward(h, layer, params[i], masks.get(i))
+        h, cache = KINDS[type(layer)].train_forward(h, layer, params[i], masks.get(i))
         caches.append(cache)
     return h, caches
 
@@ -315,8 +183,8 @@ def _backward(layers, params, caches, grad):
     grads = [dict() for _ in layers]
     lowest = next((i for i, p in enumerate(params) if p), len(layers))
     for i in range(len(layers) - 1, lowest - 1, -1):
-        op = TRAIN_OPS[type(layers[i])]
-        grad, grads[i] = op.backward(grad, caches[i], layers[i], params[i], i > lowest)
+        backward = KINDS[type(layers[i])].train_backward
+        grad, grads[i] = backward(grad, caches[i], layers[i], params[i], i > lowest)
     return grads
 
 

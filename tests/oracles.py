@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 Scalar Gaussian helpers (the oracles of the moment tests and of criterion
-3's K=2 check) and the per-image synthetic image generator that
-``data.gen_synthetic_images`` must match byte for byte.
+3's K=2 check), the brute-force layer oracle that validates every
+propagated moment, central differences for the trainer's gradients, and the
+per-image synthetic image generator that ``data.gen_synthetic_images`` must
+match byte for byte.
 """
 
 from __future__ import annotations
@@ -11,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from momentprop import network
 from momentprop.data import Dataset, _split_tags
-from momentprop.layers import _max_pair_arrays
+from momentprop.layers import Conv2DSpec, DropoutSpec, MaxPool2DSpec, dropout_sample
+from momentprop.layers import _conv_geometry, _max_pair_arrays
+from momentprop.mc import MomentEstimate, _moments_from_power_sums
+from momentprop.moments import MomentTensor
+from momentprop.training import draw_masks_for, extract_params, grads_with_params, loss_with_params
 
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
@@ -56,6 +63,151 @@ def maxpool_pair(a: GaussianScalar, b: GaussianScalar) -> GaussianScalar:
         np.array([b.mean]), np.array([b.variance]),
     )
     return GaussianScalar(float(mean[0]), float(var[0]))
+
+
+# ---------------------------------------------------------------------------
+# brute force: one layer's output moments, the trainer's gradients
+
+
+class _RunningMoments:
+    """Streaming raw power sums so huge oracle runs stay memory-bounded."""
+
+    def __init__(self):
+        self.n = 0.0
+        self.s1 = self.s2 = self.s3 = self.s4 = 0.0
+
+    def add(self, chunk: np.ndarray) -> None:
+        self.n += chunk.shape[0]
+        self.s1 = self.s1 + chunk.sum(axis=0)
+        sq = np.square(chunk)
+        self.s2 = self.s2 + sq.sum(axis=0)
+        self.s3 = self.s3 + (sq * chunk).sum(axis=0)
+        self.s4 = self.s4 + np.square(sq).sum(axis=0)
+
+    def finalize(self) -> MomentEstimate:
+        if self.n < 2:
+            raise ValueError("need at least 2 samples")
+        return _moments_from_power_sums(self.n, self.s1, self.s2, self.s3, self.s4)
+
+
+def layer_oracle(
+    layer,
+    input_dist,
+    n_samples: int,
+    seed: int = 0,
+    chunk_size: int = 200_000,
+    component: int | None = None,
+) -> MomentEstimate:
+    """Estimate a layer's output moments by brute force.
+
+    input_dist is either a MomentTensor (independent Gaussian inputs) or a
+    plain array (a fixed point input).  The layer is applied to each draw via
+    its kind's det op, except dropout which samples fresh masks.
+    If ``component`` is given, only that flat output component's moments are
+    accumulated (the layer itself is still applied in full).
+    """
+    rng = np.random.default_rng(seed)
+    if isinstance(input_dist, MomentTensor):
+        mean = input_dist.expectation
+        std = np.sqrt(input_dist.variance)
+        point = None
+    else:
+        point = np.asarray(input_dist, dtype=np.float64)
+        mean = np.asarray(input_dist, dtype=np.float64)
+        std = np.zeros_like(mean)
+    if int(n_samples) < 2:
+        raise ValueError("need at least 2 oracle samples")
+
+    # For conv/pool layers checked at a single component, draw only that
+    # component's receptive field and evaluate the output by its definition;
+    # statistically identical (other inputs cannot affect the component) and
+    # independent of the production patch-matrix code path.
+    field = _RECEPTIVE_FIELDS.get(type(layer)) if component is not None else None
+    reducer = None
+    if field is not None:
+        mean, std, reducer = field(layer, mean, std, component)
+    det = network.kind_of(layer).det
+
+    acc = _RunningMoments()
+    remaining = int(n_samples)
+    while remaining > 0:
+        n = min(chunk_size, remaining)
+        remaining -= n
+        if point is not None and reducer is None:
+            draws = np.broadcast_to(point, (n,) + point.shape).copy()
+        else:
+            draws = mean + std * rng.standard_normal((n,) + mean.shape)
+        if reducer is not None:
+            out = reducer(draws)
+        elif isinstance(layer, DropoutSpec):
+            out = dropout_sample(draws, layer, rng)
+        else:
+            out = det(draws, layer)
+        if component is not None and reducer is None:
+            out = out.reshape(out.shape[0], -1)[:, component]
+        acc.add(out)
+    return acc.finalize()
+
+
+def _conv_field(layer, mean, std, component):
+    """Moments of one conv output component's input patch plus its evaluator."""
+    _, h, w = mean.shape
+    kh, kw = layer.kernel_size
+    oh, ow, (pt, _, pl, _) = _conv_geometry(h, w, kh, kw, layer.stride, layer.padding)
+    oc_i, rest = divmod(component, oh * ow)
+    y, x = divmod(rest, ow)
+    mp_ = np.pad(mean, ((0, 0), (pt, kh), (pl, kw)))  # generous right/bottom pad
+    sp_ = np.pad(std, ((0, 0), (pt, kh), (pl, kw)))
+    y0, x0 = y * layer.stride, x * layer.stride
+    patch_mean = mp_[:, y0 : y0 + kh, x0 : x0 + kw]
+    patch_std = sp_[:, y0 : y0 + kh, x0 : x0 + kw]
+    kern = layer.kernel[oc_i]
+    bias = layer.bias[oc_i]
+
+    def reducer(draws):
+        return np.tensordot(draws, kern, axes=([1, 2, 3], [0, 1, 2])) + bias
+
+    return patch_mean, patch_std, reducer
+
+
+def _pool_field(layer, mean, std, component):
+    """Moments of one pooled output component's window plus its evaluator."""
+    _, h, w = mean.shape
+    n = layer.size
+    oh, ow = h // n, w // n
+    c_i, rest = divmod(component, oh * ow)
+    y, x = divmod(rest, ow)
+    patch_mean = mean[c_i, y * n : (y + 1) * n, x * n : (x + 1) * n]
+    patch_std = std[c_i, y * n : (y + 1) * n, x * n : (x + 1) * n]
+
+    def reducer(draws):
+        return draws.reshape(draws.shape[0], -1).max(axis=1)
+
+    return patch_mean, patch_std, reducer
+
+
+_RECEPTIVE_FIELDS = {Conv2DSpec: _conv_field, MaxPool2DSpec: _pool_field}
+
+
+def gradient_errors(model, x, y, loss_kind, seed, step=1e-5):
+    """Yield (where, relative error) of every analytic parameter gradient
+    against central differences, under one set of dropout masks."""
+    params = extract_params(model)
+    masks = draw_masks_for(model, params, x.shape, seed=seed)
+    _, grads = grads_with_params(model, params, x, y, loss_kind, masks)
+    for li, p in enumerate(params):
+        for key, arr in p.items():
+            flat, g_flat = arr.ravel(), grads[li][key].ravel()
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + step
+                up = loss_with_params(model, params, x, y, loss_kind, masks)
+                flat[idx] = orig - step
+                down = loss_with_params(model, params, x, y, loss_kind, masks)
+                flat[idx] = orig
+                numeric = (up - down) / (2 * step)
+                rel = abs(g_flat[idx] - numeric) / max(abs(numeric), abs(g_flat[idx]), 1e-6)
+                yield f"layer {li} {key}[{idx}]: analytic {g_flat[idx]} vs fd {numeric}", rel
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +297,7 @@ def gen_synthetic_images_per_image(
             i += 1
     perm = rng.permutation(len(labels))
     images, labels = images[perm], labels[perm]
-    split = _split_tags(len(labels), split_fractions, rng=None)
+    split = _split_tags(len(labels), split_fractions)
     return Dataset(
         features=images, targets=labels, split=split,
         task="classification", n_classes=n_classes,

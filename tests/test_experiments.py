@@ -6,6 +6,7 @@ import pytest
 import momentprop as mp
 from momentprop import experiments as ex
 from momentprop.data import gen_tabular_regression, load_csv_regression, write_regression_csv
+from momentprop.network import kind_of
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,33 @@ class TestUciExperiment:
         # sampling and propagation describe the same model
         assert abs(row["rmse_mc"] - row["rmse_mp"]) / row["rmse_mc"] < 0.1
         assert row["rt_mc_s"] > row["rt_mp_s"]
+
+
+def _ood_with(threads, tmp_path):
+    setup = ex.build_ood_setup(seeds=(0, 1), ensemble_size=2, n_per_class=20, epochs=2,
+                               conv_channels=(4,), dense_units=(8,), threads=threads)
+    members = [m for seed in setup.members for m in setup.members[seed]]
+    weights = [t for m in members for l in m.layers for t in kind_of(l).tensors(l)]
+    return weights, ex.run_ood_experiment(setup=setup, t=4).tables
+
+
+def _uci_with(threads, tmp_path):
+    for i in range(2):
+        write_regression_csv(tmp_path / f"{i}.csv", *gen_tabular_regression(80, 3, seed=i))
+    specs = [{"name": i, "path": tmp_path / f"{i}.csv", "target_column": "y"} for i in range(2)]
+    rows = ex.run_uci_experiment(specs, threads=threads, p_grid=(0.05, 0.1), tau_grid=(1.0,),
+                                 hidden=(8,), epochs=3, t_mc=10).tables["benchmark"]
+    return [], [{k: v for k, v in r.items() if not k.startswith("rt_")} for r in rows]
+
+
+@pytest.mark.parametrize("run", [_ood_with, _uci_with])
+def test_threads_leave_results_unchanged(run, tmp_path):
+    """threads=2 runs the jobs on a pool: same weights and tables as one thread,
+    the uci timing columns aside."""
+    weights, tables = run(1, tmp_path)
+    threaded_weights, threaded_tables = run(2, tmp_path)
+    assert [w.tobytes() for w in weights] == [w.tobytes() for w in threaded_weights]
+    assert repr(tables) == repr(threaded_tables)
 
 
 class TestOodExperiment:

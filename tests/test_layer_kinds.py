@@ -20,6 +20,7 @@ from momentprop.network import (
     trace_mp,
 )
 from momentprop.training import override_dropout
+from oracles import layer_oracle
 
 
 @st.composite
@@ -274,7 +275,7 @@ class TestWalkersCallModuleNames:
     def test_layer_oracle_uses_det(self, monkeypatch, layer):
         name = kind_of(layer).name + "_det"
         calls = self.wrap(monkeypatch, network, (name,))
-        mc.layer_oracle(layer, MomentTensor(np.ones(3), np.ones(3)), 10, chunk_size=4)
+        layer_oracle(layer, MomentTensor(np.ones(3), np.ones(3)), 10, chunk_size=4)
         assert calls[name] == 3
 
 

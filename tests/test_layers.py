@@ -12,9 +12,8 @@ from momentprop.layers import (
     reset_variance_clamp_count,
     variance_clamp_count,
 )
-from momentprop.mc import layer_oracle
 from momentprop.moments import MomentTensor
-from oracles import GaussianScalar, maxpool_pair
+from oracles import GaussianScalar, layer_oracle, maxpool_pair
 
 
 def zscores(mt, est):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentprop as mp
-from momentprop.mc import estimate_moments, layer_oracle, mc_forward, sample_stream
+from momentprop import layers, mc
+from momentprop.mc import estimate_moments, mc_forward, sample_stream
 from momentprop.moments import MomentTensor
 from momentprop.network import forward_sample
+from oracles import layer_oracle
 
 
 def dropout_dense_model(seed=0, rate=0.3):
@@ -44,8 +46,6 @@ class TestMcForward:
         most DRAW_BLOCK elements; each call gets its own, so concurrent
         calls on one model share nothing.  A call whose masks are all at
         most FRESH_DRAW elements draws each one fresh instead."""
-        from momentprop import layers, mc
-
         model = mp.mlp_regression(1, hidden=(300, 200), dropout_rate=0.3, seed=0, tau=1.0)
         seen = []
 
@@ -82,8 +82,6 @@ class TestMcForward:
         (None, TypeError), (1.5, TypeError), ("3", TypeError), (-1, ValueError),
     ])
     def test_bad_seed_fails_before_any_pass(self, monkeypatch, seed, error):
-        from momentprop import mc
-
         passes = []
         monkeypatch.setattr(mc.network, "_run_arrays", lambda *a, **k: passes.append(a))
         with pytest.raises(error, match="seed must be an integer >= 0"):
@@ -114,8 +112,6 @@ class TestStreamKeys:
     @settings(max_examples=60, deadline=None)
     @given(_SEEDS, _INDICES, _INDICES)
     def test_keys_and_draws_equal_seed_sequence(self, seed, samples, layers):
-        from momentprop import mc
-
         keys = mc.stream_keys(seed, samples, layers)
         assert keys.shape == (len(samples), len(layers), 4) and keys.dtype == np.uint64
         for a, sample in enumerate(samples):
@@ -127,8 +123,6 @@ class TestStreamKeys:
                 assert np.array_equal(sample_stream(seed, sample, layer).random(6), ref)
 
     def test_mc_forward_blocks_of_passes_equal_one_table(self, monkeypatch):
-        from momentprop import mc
-
         model, x = dropout_dense_model(), np.ones(4)
         whole = mc_forward(model, x, 7, seed=3)
         monkeypatch.setattr(mc, "_KEY_BLOCK", 3)
@@ -138,13 +132,22 @@ class TestStreamKeys:
         ([2**32], [0], ValueError), ([0], [-1], ValueError), ([1.0], [0], TypeError),
     ])
     def test_indices_are_32_bit_integers(self, samples, layers, error):
-        from momentprop import mc
-
         with pytest.raises(error):
             mc.stream_keys(0, samples, layers)
+        with pytest.raises(error):
+            sample_stream(0, samples[0], layers[0])
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70 + 3])
+    @pytest.mark.parametrize("sample, layer", [(0, 0), (5, 3), (2**32 - 1, 9)])
+    def test_mc_forward_streams_equal_sample_stream(self, seed, sample, layer):
+        """sample_stream seeds through numpy's SeedSequence, so it checks the
+        vectorized keys mc_forward draws its masks from."""
+        keys = mc.stream_keys(seed, (sample,), (layer,))[0, 0]
+        ref = sample_stream(seed, sample, layer).random(50)
+        assert mc._generator(keys).random(50).tobytes() == ref.tobytes()
 
     def test_a_stream_cannot_spawn(self):
-        gen = sample_stream(0, 1, 2)
+        gen = mc._generator(mc.stream_keys(0, (1,), (2,))[0, 0])
         with pytest.raises(TypeError):
             gen.spawn(1)
 

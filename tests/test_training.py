@@ -11,8 +11,8 @@ from momentprop.data import (
     ood_partition,
     standardize_regression,
 )
-from momentprop.layers import _conv_apply, _conv_geometry, _im2col, maxpool2d_det
-from momentprop.network import forward_det
+from momentprop.layers import _col2im, _conv_apply, _conv_geometry, _im2col, maxpool2d_det
+from momentprop.network import KINDS, forward_det
 from momentprop.training import (
     EarlyStopping,
     LrReduction,
@@ -22,9 +22,9 @@ from momentprop.training import (
     extract_params,
     grads_with_params,
     grid_search_uci,
-    loss_with_params,
     train,
 )
+from oracles import gradient_errors
 
 
 def linear_dataset(n=200, seed=0, slope=2.0, intercept=1.0, noise=0.01):
@@ -66,25 +66,8 @@ class TestGradients:
 
     @staticmethod
     def check_model(model, x, y, loss_kind, seed=0, step=1e-5, tol=1e-4):
-        params = extract_params(model)
-        masks = draw_masks_for(model, params, x.shape, seed=seed)
-        _, grads = grads_with_params(model, params, x, y, loss_kind, masks)
-        for li, p in enumerate(params):
-            for key, arr in p.items():
-                flat = arr.ravel()
-                g_flat = grads[li][key].ravel()
-                for idx in range(flat.size):
-                    orig = flat[idx]
-                    flat[idx] = orig + step
-                    up = loss_with_params(model, params, x, y, loss_kind, masks)
-                    flat[idx] = orig - step
-                    down = loss_with_params(model, params, x, y, loss_kind, masks)
-                    flat[idx] = orig
-                    numeric = (up - down) / (2 * step)
-                    denom = max(abs(numeric), abs(g_flat[idx]), 1e-6)
-                    assert abs(g_flat[idx] - numeric) / denom < tol, (
-                        f"layer {li} {key}[{idx}]: analytic {g_flat[idx]} vs fd {numeric}"
-                    )
+        for where, rel in gradient_errors(model, x, y, loss_kind, seed, step):
+            assert rel < tol, where
 
     def test_dense_relu_dropout_mse(self):
         rng = np.random.default_rng(1)
@@ -266,8 +249,8 @@ def reference_grads(model, params, x, y, loss_kind, masks):
             dmat = grad.reshape(grad.shape[0], w.shape[0], oh * ow)
             dk = np.tensordot(dmat, cols, axes=([0, 2], [0, 2]))
             grads[i] = {"w": dk.reshape(w.shape), "b": grad.sum(axis=(0, 2, 3))}
-            grad = training._col2im(w.reshape(w.shape[0], -1).T @ dmat, x_shape,
-                                    w.shape[2], w.shape[3], layer.stride, pads, oh, ow)
+            grad = _col2im(w.reshape(w.shape[0], -1).T @ dmat, x_shape,
+                           w.shape[2], w.shape[3], layer.stride, pads, oh, ow)
         elif isinstance(layer, mp.MaxPool2DSpec):
             grad = reference_pool_backward(grad, cache[0], cache[1], layer.size)
         else:
@@ -280,21 +263,21 @@ def assert_bitwise(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-POOL = training.TRAIN_OPS[mp.MaxPool2DSpec]
+POOL = KINDS[mp.MaxPool2DSpec]
 
 
 def pool_forward(x, n):
     """The trainer's pool output and the window offset it routes to."""
-    out, (idx, _) = POOL.forward(x, mp.MaxPool2DSpec(n), {}, None)
+    out, (idx, _) = POOL.train_forward(x, mp.MaxPool2DSpec(n), {}, None)
     return out, idx
 
 
 def pool_input_grad(hmap, n, gout):
     """The gradient the trainer's pool sends to its (H, W) input hmap."""
     spec = mp.MaxPool2DSpec(n)
-    out, cache = POOL.forward(hmap[None, None], spec, {}, None)
+    out, cache = POOL.train_forward(hmap[None, None], spec, {}, None)
     assert_bitwise(out, maxpool2d_det(hmap[None, None], spec))
-    dx, grads = POOL.backward(gout, cache, spec, {}, True)
+    dx, grads = POOL.train_backward(gout, cache, spec, {}, True)
     assert grads == {}
     return dx[0, 0]
 
