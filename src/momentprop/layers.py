@@ -279,28 +279,39 @@ def dropout_det(x, spec: DropoutSpec, out=None):
     return np.multiply(np.asarray(x, dtype=np.float64), 1.0 - spec.rate, out=out)
 
 
-def dropout_sample(x, spec: DropoutSpec, rng: np.random.Generator, out=None, draws=None):
+def dropout_sample(x, spec: DropoutSpec, rng, out=None, draws=None):
     """Multiply each node by an independent Bernoulli(1-rate) draw, unscaled.
 
-    Without ``draws`` the mask is one ``rng.random(x.shape)``.  Given
-    ``draws``, a 1-D float64 scratch array, the uniforms are drawn into it
-    block by block (one block when ``x`` fits); the blocks continue one
-    stream in C order, so the result is bitwise the same.  A mask drawn
-    through ``draws`` needs a C-contiguous ``out``.
+    ``rng`` is one generator, or a list of them, one per equal block of
+    ``x``'s rows (axis 0): the MC executor stacks passes along the batch
+    axis, and each pass draws its mask from its own keyed stream.  Each
+    block's uniforms come from its generator in C order, so each block is
+    bitwise what its generator gives it alone.  Without ``draws`` the
+    uniforms of all blocks fill one array, then one compare and one
+    multiply run over the whole input.  Given ``draws``, a 1-D float64
+    scratch array, each block's uniforms are drawn into it chunk by chunk
+    (one chunk when the block fits); the chunks continue one stream, so the
+    result is bitwise the same.  A mask drawn through ``draws`` needs a
+    C-contiguous ``out``.
     """
     x = np.asarray(x, dtype=np.float64)
+    rngs = rng if isinstance(rng, (list, tuple)) else (rng,)
     if draws is None:
-        return np.multiply(x, rng.random(x.shape) >= spec.rate, out=out)
+        uniforms = np.empty(x.shape)
+        for gen, block in zip(rngs, uniforms.reshape(len(rngs), -1)):
+            gen.random(out=block)
+        return np.multiply(x, uniforms >= spec.rate, out=out)
     if out is None:
         out = np.empty(x.shape)
     elif not out.flags.c_contiguous:
         raise ValueError("dropout_sample draws through a scratch only into a C-contiguous out")
-    x_flat, out_flat = x.reshape(-1), out.reshape(-1)
-    for start in range(0, x.size, draws.size):
-        stop = min(start + draws.size, x.size)
-        uniforms = draws[: stop - start]
-        rng.random(out=uniforms)
-        np.multiply(x_flat[start:stop], uniforms >= spec.rate, out=out_flat[start:stop])
+    x_blocks, out_blocks = x.reshape(len(rngs), -1), out.reshape(len(rngs), -1)
+    for gen, x_flat, out_flat in zip(rngs, x_blocks, out_blocks):
+        for start in range(0, x_flat.size, draws.size):
+            stop = min(start + draws.size, x_flat.size)
+            uniforms = draws[: stop - start]
+            gen.random(out=uniforms)
+            np.multiply(x_flat[start:stop], uniforms >= spec.rate, out=out_flat[start:stop])
     return out
 
 
@@ -326,11 +337,22 @@ def _dropout_arrays(e, v, rate):
 # dense
 
 
-def dense_det(x, spec: DenseSpec):
+def dense_det(x, spec: DenseSpec, passes: int = 1):
+    """``x @ W + b``.  With ``passes`` > 1, ``x`` is that many equal row
+    blocks (stacked MC passes) and each block gets its own matmul: a
+    product's rows are not bitwise independent of its row count (one row
+    takes another BLAS kernel than 32), so each pass keeps the product it
+    would get alone."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.in_dim:
         raise ValueError(f"dense expects {spec.in_dim} inputs, got shape {x.shape}")
-    out = x @ spec.weights
+    if passes == 1:
+        out = x @ spec.weights
+    else:
+        out = np.empty(x.shape[:-1] + (spec.out_dim,))
+        blocks = zip(x.reshape(passes, -1, spec.in_dim), out.reshape(passes, -1, spec.out_dim))
+        for x_pass, out_pass in blocks:
+            np.matmul(x_pass, spec.weights, out=out_pass)
     out += spec.bias
     return out
 

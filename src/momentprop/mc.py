@@ -9,10 +9,17 @@ pass, and ``sample_stream`` builds one stream through ``SeedSequence``
 itself, the reference those keys must match.  ``mc_forward`` calls
 ``stream_keys`` and ``dropout_sample`` through their module-level names, so
 a wrapper assigned to either name sees every call.
+
+``mc_forward`` stacks up to ``STACK_BYTES`` of passes into one walk along the
+batch axis.  Each stacked pass is bitwise the pass it would be alone: its
+dropout rows draw from its own stream, and each dense layer makes one
+matmul per pass (see ``layers.dense_det``).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -34,6 +41,15 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # passes whose keys one stream_keys call of mc_forward derives: T=30 is one
 # call, and T=1e5 never holds the whole key table
 _KEY_BLOCK = 1024
+
+# mc_forward stacks as many passes into one walk as keep the widest
+# activation of the stack within this many bytes.  Stacking saves per-op
+# call overhead, which dominates small inputs (the one-example toy MLP: 8
+# passes per walk); a large input (a 32-image batch of the reference CNN,
+# the toy MLP at 2048 rows) runs one pass per walk, as forward_sample does.
+# A larger stack saves little more, and its arrays push other work's data
+# out of cache (see CHANGES.md for the budget sweep).
+STACK_BYTES = 16 * 1024
 
 
 def _constants(start: int, mult: int):
@@ -207,29 +223,44 @@ def estimate_moments(batch) -> MomentEstimate:
     return _moments_from_power_sums(float(n), s1, s2, s3, s4)
 
 
+def _pass_keys(seed, t: int, dropouts):
+    """Each pass's (dropout layer, 4) key table, derived _KEY_BLOCK passes
+    at a time."""
+    for start in range(0, t, _KEY_BLOCK):
+        yield from stream_keys(seed, range(start, min(start + _KEY_BLOCK, t)), dropouts)
+
+
 def mc_forward(model: network.ModelSpec, x, t: int, seed: int = 0) -> SampleBatch:
     """T stochastic forward passes with fresh Bernoulli masks per pass.
 
     Deterministic given (model, x, t, seed) and independent of evaluation
     order, since every pass pulls its masks from its own keyed stream.  The
     seed is any integer >= 0; the first ``stream_keys`` call checks it,
-    before any pass runs.
+    before any pass runs.  Passes run in groups of G, each group one walk
+    over the batch repeated G times along axis 0 (see ``STACK_BYTES``).
     """
-    if not (isinstance(t, int) and t >= 1):
-        raise ValueError(f"sample count must be an integer >= 1, got {t!r}")
+    t = network._check_samples(t)
     xb, squeeze = network._as_batch(model, x)
+    widest = max(math.prod(s) for s in (model.input_shape,) + model.layer_shapes)
+    group = min(t, max(1, STACK_BYTES // (8 * max(1, len(xb)) * widest)))
+    stacked = np.concatenate([xb] * group) if group > 1 else xb
     draws = network._DrawScratch(model, xb)  # shared by every pass of this call
     dropouts = [i for i, layer in enumerate(model.layers) if type(layer) is DropoutSpec]
     column = {idx: c for c, idx in enumerate(dropouts)}
-    outputs = []
-    for start in range(0, t, _KEY_BLOCK):
-        for keys in stream_keys(seed, range(start, min(start + _KEY_BLOCK, t)), dropouts):
-            out = network._run_arrays(
-                model,
-                xb,
-                lambda h, layer, idx, o, keys=keys: dropout_sample(
-                    h, layer, _generator(keys[column[idx]]), o, draws.array
-                ),
-            )
-            outputs.append(out[0] if squeeze else out)
-    return SampleBatch(outputs=np.stack(outputs, axis=0), t=t, seed=seed)
+    outputs = np.empty((t, len(xb)) + model.output_shape)
+    keys = _pass_keys(seed, t, dropouts)
+    for start in range(0, t, group):
+        passes = min(group, t - start)
+        tables = list(itertools.islice(keys, passes))
+        out = network._run_arrays(
+            model,
+            stacked[: passes * len(xb)],
+            lambda h, layer, idx, o: dropout_sample(
+                h, layer, [_generator(k[column[idx]]) for k in tables], o, draws.array
+            ),
+            passes=passes,
+        )
+        outputs[start : start + passes] = out.reshape((passes,) + outputs.shape[1:])
+    if squeeze:
+        outputs = outputs.reshape((t,) + model.output_shape)
+    return SampleBatch(outputs=outputs, t=t, seed=seed)

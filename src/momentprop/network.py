@@ -140,7 +140,9 @@ class LayerKind:
     name: str  # the manifest's "kind"
     keys: tuple[str, ...]  # the other manifest keys, in file order
     out_shape: Callable  # (layer, input shape) -> output shape; ValueError if it cannot follow
-    det: Callable  # (batched array, layer, out=None) -> array; only in_place kinds use out
+    # (batched array, layer, out=None, passes=1) -> array; only in_place kinds
+    # use out, and only dense uses passes (the row blocks of stacked MC passes)
+    det: Callable
     mp: Callable  # (MomentTensor, layer) -> MomentTensor, or probabilities after softmax
     build: Callable  # (manifest entry, tensors) -> layer
     train_forward: Callable | None  # (h, layer, p, mask or None) -> (out, cache)
@@ -161,7 +163,8 @@ class LayerKind:
 KINDS: dict[type, LayerKind] = {
     DropoutSpec: LayerKind(
         "dropout", ("rate",), _same_shape,
-        lambda h, l, out=None: dropout_det(h, l, out), lambda mt, l: dropout_mp(mt, l),
+        lambda h, l, out=None, passes=1: dropout_det(h, l, out),
+        lambda mt, l: dropout_mp(mt, l),
         lambda e, t: DropoutSpec(rate=float(e["rate"])),
         train_forward=lambda h, l, p, mask: (h * mask, mask),
         train_backward=lambda g, mask, l, p, need: (g * mask, {}),
@@ -169,7 +172,7 @@ KINDS: dict[type, LayerKind] = {
     ),
     DenseSpec: LayerKind(
         "dense", ("in_dim", "out_dim"), _dense_shape,
-        lambda h, l, out=None: dense_det(h, l), lambda mt, l: dense_mp(mt, l),
+        lambda h, l, out=None, passes=1: dense_det(h, l, passes), lambda mt, l: dense_mp(mt, l),
         lambda e, t: DenseSpec(weights=t[0], bias=t[1]),
         train_forward=_dense_forward, train_backward=_dense_backward,
         tensors=lambda l: [l.weights, l.bias],
@@ -178,7 +181,7 @@ KINDS: dict[type, LayerKind] = {
     Conv2DSpec: LayerKind(
         "conv2d", ("out_channels", "in_channels", "kernel_size", "padding", "stride"),
         _conv_shape,
-        lambda h, l, out=None: conv2d_det(h, l), lambda mt, l: conv2d_mp(mt, l),
+        lambda h, l, out=None, passes=1: conv2d_det(h, l), lambda mt, l: conv2d_mp(mt, l),
         lambda e, t: Conv2DSpec(
             kernel=t[0], bias=t[1], padding=e["padding"], stride=int(e["stride"])
         ),
@@ -190,13 +193,13 @@ KINDS: dict[type, LayerKind] = {
     ),
     MaxPool2DSpec: LayerKind(
         "maxpool2d", ("size",), _pool_shape,
-        lambda h, l, out=None: maxpool2d_det(h, l), lambda mt, l: maxpool2d_mp(mt, l),
+        lambda h, l, out=None, passes=1: maxpool2d_det(h, l), lambda mt, l: maxpool2d_mp(mt, l),
         lambda e, t: MaxPool2DSpec(size=int(e["size"])),
         train_forward=_pool_forward, train_backward=_pool_backward,
     ),
     ReluSpec: LayerKind(
         "relu", (), _same_shape,
-        lambda h, l, out=None: relu_det(h, out), lambda mt, l: relu_mp(mt),
+        lambda h, l, out=None, passes=1: relu_det(h, out), lambda mt, l: relu_mp(mt),
         lambda e, t: ReluSpec(),
         train_forward=_relu_forward,
         train_backward=lambda g, pos, l, p, need: (g * pos, {}),
@@ -204,7 +207,7 @@ KINDS: dict[type, LayerKind] = {
     ),
     FlattenSpec: LayerKind(
         "flatten", (), lambda l, shape: (int(np.prod(shape)),),
-        lambda h, l, out=None: h.reshape(h.shape[0], -1),
+        lambda h, l, out=None, passes=1: h.reshape(h.shape[0], -1),
         lambda mt, l: MomentTensor._unchecked(
             mt.expectation.reshape(len(mt.expectation), -1),
             mt.variance.reshape(len(mt.expectation), -1),
@@ -215,7 +218,7 @@ KINDS: dict[type, LayerKind] = {
     ),
     SoftmaxSpec: LayerKind(
         "softmax", (), _softmax_shape,
-        lambda h, l, out=None: softmax_det(h), lambda mt, l: softmax_mp(mt),
+        lambda h, l, out=None, passes=1: softmax_det(h), lambda mt, l: softmax_mp(mt),
         lambda e, t: SoftmaxSpec(), train_forward=None, train_backward=None,
     ),
 }
@@ -345,9 +348,23 @@ class MCSample:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.t, int) and self.t >= 1):
-            raise ValueError(f"sample count must be an integer >= 1, got {self.t!r}")
+        object.__setattr__(self, "t", _check_samples(self.t))
         _check_seed(self.seed)
+
+
+def _check_samples(t) -> int:
+    """An MC sample count as a Python int: any integer >= 1, numpy integers
+    included.  A bool or any other non-integer raises TypeError; a count
+    below 1 raises ValueError."""
+    if isinstance(t, (bool, np.bool_)):
+        raise TypeError(f"sample count must be an integer >= 1, got {t!r}")
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise TypeError(f"sample count must be an integer >= 1, got {t!r}") from None
+    if t < 1:
+        raise ValueError(f"sample count must be an integer >= 1, got {t}")
+    return t
 
 
 def _check_seed(seed) -> int:
@@ -391,12 +408,14 @@ def _as_batch(model: ModelSpec, x):
     return xb, single
 
 
-def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None):
+def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None, passes=1):
     """Walk the stack on a batched array with each kind's det op; with
     ``sample``, dropout layers run sample(h, spec, index, out) instead.
 
     Steps that ``ModelSpec.det_steps`` marks in place get their input as
     ``out``; with ``collect``, which keeps every layer's output, none does.
+    ``passes`` > 1 marks ``xb`` as that many equal row blocks, one per
+    stacked MC pass, for the ops whose rows depend on the row count.
     """
     h = xb
     for idx, (layer, det, in_place) in enumerate(model.det_steps[:upto]):
@@ -404,7 +423,7 @@ def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None):
         if sample is not None and type(layer) is DropoutSpec:
             h = sample(h, layer, idx, out)
         else:
-            h = det(h, layer, out)
+            h = det(h, layer, out, passes)
         if collect is not None:
             collect.append(h)
     return h

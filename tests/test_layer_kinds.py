@@ -1,6 +1,7 @@
 """Properties of the per-kind layer records (``network.KINDS``) over random
 architectures that mix all seven layer kinds."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -219,6 +220,38 @@ class TestInputOwnership:
             assert sampled.tobytes() == row(refs[1]).tobytes()
 
 
+class TestStackedPasses:
+    """mc_forward runs its passes G at a time, in one walk over the batch
+    repeated G times; every pass stays bitwise what forward_sample gives
+    with that pass's streams."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(models(), st.sampled_from((None, 1, 3)), st.sampled_from((1, 2, 5, 33)),
+           st.sampled_from(("one", "two", "all")), st.booleans())
+    def test_every_pass_equals_forward_sample(self, model, batch, t, group, scratch):
+        x = example_input(model, batch=batch)
+        widest = max(math.prod(s) for s in (model.input_shape,) + model.layer_shapes)
+        g = {"one": 1, "two": 2, "all": t}[group]
+        seen, run = [], network._run_arrays
+
+        def spy(*args, passes):
+            seen.append(passes)
+            return run(*args, passes=passes)
+
+        # key blocks of 3 passes, which groups of 2 and of T straddle; with
+        # scratch, every mask is drawn through ragged 5-element blocks
+        with mock.patch.object(mc, "STACK_BYTES", 8 * (batch or 1) * widest * g), \
+                mock.patch.object(mc, "_KEY_BLOCK", 3), \
+                mock.patch.object(network, "_run_arrays", spy), \
+                mock.patch.object(network, "DRAW_BLOCK", 5 if scratch else network.DRAW_BLOCK), \
+                mock.patch.object(network, "FRESH_DRAW", 0 if scratch else network.FRESH_DRAW):
+            outputs = mc.mc_forward(model, x, t, seed=6).outputs
+        assert seen == [g] * (t // g) + [t % g] * (t % g > 0)
+        for k in range(t):
+            ref = network.forward_sample(model, x, lambda i, k=k: mc.sample_stream(6, k, i))
+            assert outputs[k].tobytes() == ref.tobytes()
+
+
 def every_kind_model(seed=0):
     rng = np.random.default_rng(seed)
     return mp.ModelSpec(
@@ -266,10 +299,17 @@ class TestWalkersCallModuleNames:
         model, x = every_kind_model(), np.ones((2, 1, 4, 4))
         det_calls = self.wrap(monkeypatch, network, self.DET)
         mc_calls = self.wrap(monkeypatch, mc, ("dropout_sample", "stream_keys"))
-        mc.mc_forward(model, x, 3, seed=0)
-        assert det_calls == {**dict.fromkeys(self.DET, 3), "dropout_det": 0}
-        # one key derivation for all three passes
-        assert mc_calls == {"dropout_sample": 3, "stream_keys": 1}
+        # two 32-element conv outputs are 512 bytes per pass: the default
+        # budget stacks all three passes into one walk, 1024 bytes two, 512 one
+        for stack_bytes, walks in ((mc.STACK_BYTES, 1), (1024, 2), (512, 3)):
+            monkeypatch.setattr(mc, "STACK_BYTES", stack_bytes)
+            for calls in (det_calls, mc_calls):
+                calls.update(dict.fromkeys(calls, 0))
+            mc.mc_forward(model, x, 3, seed=0)
+            # each op runs once per walk over the stacked passes
+            assert det_calls == {**dict.fromkeys(self.DET, walks), "dropout_det": 0}
+            # one key derivation for all three passes
+            assert mc_calls == {"dropout_sample": walks, "stream_keys": 1}
 
     @pytest.mark.parametrize("layer", [mp.ReluSpec(), mp.DenseSpec(np.ones((3, 2)), np.zeros(2))])
     def test_layer_oracle_uses_det(self, monkeypatch, layer):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentprop as mp
-from momentprop import layers, mc
+from momentprop import experiments, layers, mc, network
 from momentprop.mc import estimate_moments, mc_forward, sample_stream
 from momentprop.moments import MomentTensor
 from momentprop.network import forward_sample
@@ -17,6 +17,10 @@ def dropout_dense_model(seed=0, rate=0.3):
                 mp.DenseSpec(rng.normal(size=(4, 2)), rng.normal(size=2))),
         input_shape=(4,), task="regression", tau=1.0,
     )
+
+
+def toy_mlp():
+    return mp.mlp_regression(1, hidden=(256, 256, 256), dropout_rate=0.3, tau=100.0)
 
 
 class TestMcForward:
@@ -45,26 +49,38 @@ class TestMcForward:
         """Every mask draw of one call goes through one scratch array of at
         most DRAW_BLOCK elements; each call gets its own, so concurrent
         calls on one model share nothing.  A call whose masks are all at
-        most FRESH_DRAW elements draws each one fresh instead."""
+        most FRESH_DRAW elements draws each one fresh instead.  There is one
+        draw per dropout layer and walk, with one stream per stacked pass."""
         model = mp.mlp_regression(1, hidden=(300, 200), dropout_rate=0.3, seed=0, tau=1.0)
         seen = []
 
         def spy(h, layer, rng, out=None, draws=None):
-            seen.append(draws)
+            seen.append((draws, len(rng)))
             return layers.dropout_sample(h, layer, rng, out, draws)
 
         monkeypatch.setattr(mc, "dropout_sample", spy)
         x = np.linspace(-1.0, 1.0, 400)[:, None]
+        # 400 and 20 rows of 300 are too wide to stack: one walk per pass
+        assert 8 * 20 * 300 > mc.STACK_BYTES
         mc_forward(model, x, 3, seed=0)
-        first = seen[0]
-        assert len(seen) == 6 and all(d is first for d in seen)
+        first = seen[0][0]
+        assert len(seen) == 6 and all(d is first and n == 1 for d, n in seen)
         assert first.size == min(layers.DRAW_BLOCK, 400 * 300)
         seen.clear()
         mc_forward(model, x[:20], 3, seed=0)
-        assert seen[0] is not first and seen[0].size == 20 * 300
+        assert seen[0][0] is not first and seen[0][0].size == 20 * 300
+        assert len(seen) == 6 and all(d is seen[0][0] and n == 1 for d, n in seen)
         seen.clear()
+        # 2 rows stack all three passes into one walk
+        assert 8 * 2 * 300 * 3 <= mc.STACK_BYTES and 2 * 300 <= layers.FRESH_DRAW
         mc_forward(model, x[:2], 3, seed=0)
-        assert 2 * 300 <= layers.FRESH_DRAW and len(seen) == 6 and all(d is None for d in seen)
+        assert seen == [(None, 3), (None, 3)]
+        seen.clear()
+        # stacked draws share the scratch too
+        monkeypatch.setattr(network, "FRESH_DRAW", 0)
+        mc_forward(model, x[:2], 3, seed=0)
+        assert len(seen) == 2 and seen[0][0] is seen[1][0] and seen[0][0].size == 2 * 300
+        assert [n for _, n in seen] == [3, 3]
 
     def test_matches_propagated_moments(self):
         model = dropout_dense_model(seed=3)
@@ -74,9 +90,43 @@ class TestMcForward:
         assert np.all(np.abs(mt.expectation - est.mean) <= 3 * est.standard_error_mean)
         assert np.all(np.abs(mt.variance - est.variance) <= 3 * est.standard_error_variance)
 
-    def test_invalid_t(self):
-        with pytest.raises(ValueError):
-            mc_forward(dropout_dense_model(), np.ones(4), 0)
+    @pytest.mark.parametrize("t, error", [
+        (True, TypeError), (0, ValueError), (-1, ValueError), (2.5, TypeError), ("3", TypeError),
+    ])
+    def test_bad_sample_count(self, t, error):
+        with pytest.raises(error, match="sample count must be an integer >= 1"):
+            mc_forward(dropout_dense_model(), np.ones(4), t)
+        with pytest.raises(error, match="sample count must be an integer >= 1"):
+            mp.MCSample(t)
+
+    def test_numpy_integer_sample_count(self):
+        model, x = dropout_dense_model(), np.ones(4)
+        batch = mc_forward(model, x, np.int64(3), seed=1)
+        assert batch.t == 3 and type(batch.t) is int
+        assert np.array_equal(batch.outputs, mc_forward(model, x, 3, seed=1).outputs)
+        assert mp.MCSample(np.int64(3)) == mp.MCSample(3)
+
+    @pytest.mark.parametrize("build, x, t, walks", [
+        # criterion 10's workload and the toy grid: too wide to stack
+        (experiments.reference_cnn, np.zeros((32, 3, 32, 32)), 2, [1, 1]),
+        (toy_mlp, np.zeros((2048, 1)), 2, [1, 1]),
+        # one example of the toy MLP: 8 passes per walk
+        (toy_mlp, np.zeros(1), 30, [8, 8, 8, 6]),
+        # an empty batch counts as one row
+        (toy_mlp, np.zeros((0, 1)), 30, [8, 8, 8, 6]),
+    ], ids=["reference-cnn-32", "toy-mlp-2048", "toy-mlp-1", "toy-mlp-0"])
+    def test_passes_per_walk(self, monkeypatch, build, x, t, walks):
+        model, seen = build(), []
+
+        def spy(model, xb, sample, passes):
+            seen.append(passes)
+            return run(model, xb, sample, passes=passes)
+
+        run = network._run_arrays
+        monkeypatch.setattr(network, "_run_arrays", spy)
+        batch = x.shape[: x.ndim - len(model.input_shape)]
+        assert mc_forward(model, x, t).outputs.shape == (t,) + batch + model.output_shape
+        assert seen == walks
 
     @pytest.mark.parametrize("seed, error", [
         (None, TypeError), (1.5, TypeError), ("3", TypeError), (-1, ValueError),
@@ -120,7 +170,6 @@ class TestStreamKeys:
                 assert np.array_equal(keys[a, b], ss.generate_state(4, np.uint64))
                 ref = np.random.default_rng(ss).random(6)
                 assert np.array_equal(mc._generator(keys[a, b]).random(6), ref)
-                assert np.array_equal(sample_stream(seed, sample, layer).random(6), ref)
 
     def test_mc_forward_blocks_of_passes_equal_one_table(self, monkeypatch):
         model, x = dropout_dense_model(), np.ones(4)
@@ -195,21 +244,6 @@ class TestLayerOracle:
     def test_dropout_point_input(self):
         est = layer_oracle(mp.DropoutSpec(0.3), np.array([1.0]), 10**6, seed=3)
         assert abs(est.mean[0] - 0.7) <= 3 * est.standard_error_mean[0]
-
-    def test_max_of_four_standard_normals(self):
-        """Sampled max-of-window moments against the order-statistics values
-        recomputed by quadrature."""
-        from scipy import stats
-        from scipy.integrate import quad
-
-        m1 = quad(lambda z: 4 * z * stats.norm.pdf(z) * stats.norm.cdf(z) ** 3, -12, 12)[0]
-        assert m1 == pytest.approx(1.029375373003964, abs=1e-9)
-        est = layer_oracle(
-            mp.MaxPool2DSpec(2),
-            MomentTensor(np.zeros((1, 2, 2)), np.ones((1, 2, 2))),
-            10**6, seed=4, component=0,
-        )
-        assert abs(float(est.mean) - m1) <= 3 * float(est.standard_error_mean)
 
     def test_component_restriction_matches_full(self):
         rng = np.random.default_rng(5)
