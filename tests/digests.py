@@ -1,0 +1,140 @@
+"""SHA-256 digests of seeded forwards, trainings and gradients.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/digests.py
+
+It prints one ``<sha256>  <item>`` line per item, then one over all of them.
+A change that promises bitwise-unchanged outputs prints the same lines
+before and after it.  pytest does not collect this file.
+
+Items:
+
+* ``forward_det``, ``forward_mp`` and ``mc_forward`` at T=30 on the toy
+  3x256 MLP at 1 and 2048 rows, ``experiments.reference_cnn()`` on a batch
+  of 32 images and the held-out-class CNN on 32 test images;
+* seeded ``train()`` of the toy MLP and of the held-out-class CNN, 2 epochs
+  each: the trained weights, the loss curves, the learning-rate history and
+  the best epoch;
+* one trainer step on the held-out-class CNN under ``draw_masks_for`` masks:
+  the loss and parameter gradients of ``grads_with_params``, and every
+  layer's input gradient.  The CNN's dropout follows each pool, so its
+  backward hands the pool gradients that hold -0.0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from momentprop import data, experiments, mc, network, training
+from momentprop.network import KINDS
+
+SEED = 3
+MC_SAMPLES = 30
+IND_CLASSES = (0, 1, 4, 5, 8)
+
+
+def digest(*parts) -> str:
+    """SHA-256 over the dtype, shape and bytes of each array part."""
+    h = hashlib.sha256()
+    for part in parts:
+        a = np.ascontiguousarray(part)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def toy_mlp():
+    return network.mlp_regression(1, hidden=(256, 256, 256), dropout_rate=0.3, seed=SEED, tau=100.0)
+
+
+def held_out_cnn():
+    return network.cnn_classifier(
+        input_shape=(1, 16, 16), conv_channels=(8, 16), dense_units=(64,),
+        n_classes=len(IND_CLASSES), dropout_rate=0.3, seed=SEED,
+    )
+
+
+def held_out_images():
+    images = data.gen_synthetic_images(
+        400, n_classes=10, size=16, seed=SEED, split_fractions=(0.5, 0.125, 0.375)
+    )
+    return data.ood_partition(images, IND_CLASSES)
+
+
+def train_cfg(loss, batch_size):
+    return training.TrainConfig(
+        epochs=2, batch_size=batch_size, learning_rate=1e-3, loss=loss,
+        lr_reduction=None, early_stopping=None, seed=SEED,
+    )
+
+
+def forward_items(name, model, x):
+    mp_out = network.forward_mp(model, x)
+    mp_parts = (mp_out.expectation, mp_out.variance) if hasattr(mp_out, "variance") else (mp_out,)
+    yield f"forward_det {name}", digest(network.forward_det(model, x))
+    yield f"forward_mp {name}", digest(*mp_parts)
+    yield f"mc_forward T={MC_SAMPLES} {name}", digest(mc.mc_forward(model, x, MC_SAMPLES, seed=SEED).outputs)
+
+
+def train_item(name, model, dataset, cfg):
+    trained, report = training.train(model, dataset, cfg)
+    weights = [a for p in training.extract_params(trained) for _, a in sorted(p.items())]
+    curves = [np.asarray(c, dtype=np.float64)
+              for c in (report.train_loss, report.val_loss, report.lr_history)]
+    return f"train {name}", digest(*weights, *curves, np.int64(report.best_epoch))
+
+
+def gradient_items(name, model, x, y):
+    params = training.extract_params(model)
+    masks = training.draw_masks_for(model, params, x.shape, seed=SEED)
+    loss, grads = training.grads_with_params(model, params, x, y, "categorical_nll", masks)
+    yield f"grads_with_params {name}", digest(
+        np.float64(loss), *[a for g in grads for _, a in sorted(g.items())]
+    )
+    # every layer's input gradient, through the same ops as the trainer's
+    layers = training._train_layers(model)
+    out, caches = training._forward_cached(layers, params, x, masks)
+    _, grad = training._loss_fn("categorical_nll")(out, y)
+    input_grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        grad, _ = KINDS[type(layers[i])].train_backward(grad, caches[i], layers[i], params[i], True)
+        input_grads.append(grad)
+    yield f"input gradients {name}", digest(*input_grads)
+
+
+def items():
+    rng = np.random.default_rng(SEED)
+    mlp = toy_mlp()
+    yield from forward_items("toy-mlp 1 row", mlp, rng.uniform(-3.0, 3.0, (1, 1)))
+    yield from forward_items("toy-mlp 2048 rows", mlp, np.sort(rng.uniform(-3.0, 3.0, 2048))[:, None])
+    yield from forward_items(
+        "reference-cnn batch 32", experiments.reference_cnn(seed=SEED),
+        rng.standard_normal((32, 3, 32, 32)),
+    )
+    cnn = held_out_cnn()
+    ind, ood = held_out_images()
+    test = np.concatenate([ind.test_xy()[0], ood.test_xy()[0]])
+    yield from forward_items("held-out-cnn 32 images", cnn, test[rng.permutation(len(test))[:32]])
+
+    toy = data.standardize_regression(data.gen_toy_regression(1536, seed=SEED))
+    yield train_item("toy-mlp 2 epochs", mlp, toy, train_cfg("mse", 128))
+    yield train_item("held-out-cnn 2 epochs", cnn, ind, train_cfg("categorical_nll", 64))
+
+    x, y = ind.train_xy()
+    yield from gradient_items("held-out-cnn batch 64", cnn, x[:64], y[:64])
+
+
+def main():
+    overall = hashlib.sha256()
+    for name, hexdigest in items():
+        line = f"{hexdigest}  {name}"
+        print(line, flush=True)
+        overall.update(line.encode() + b"\n")
+    print(f"{overall.hexdigest()}  all")
+
+
+if __name__ == "__main__":
+    main()

@@ -355,6 +355,27 @@ class TestMaxPool2d:
         assert v_rec == pytest.approx(0.47022962759858267, abs=1e-9)
         assert 0.02 < abs(v_rec - oracle_v) / oracle_v < 0.06  # documented understatement
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_fold_order_is_row_major(self, monkeypatch, size):
+        """Pin the fold bitwise: one window at a time, _max_pair_arrays folds
+        the window's 1-element entries in row-major offset order.  The input
+        is ragged and spans many (shrunken) blocks."""
+        monkeypatch.setattr(layers, "BLOCK_SIZE", 37)
+        mt = mixed_moments((2, 4, 29, 31), seed=43)
+        e, v = mt.expectation, mt.variance
+        out = mp.maxpool2d_mp(mt, mp.MaxPool2DSpec(size))
+        assert out.expectation.size > 10 * layers.BLOCK_SIZE
+        e_ref, v_ref = np.empty(out.shape), np.empty(out.shape)
+        for b, c, i, j in np.ndindex(out.shape):
+            entries = [(b, c, i * size + k // size, slice(j * size + k % size, j * size + k % size + 1))
+                       for k in range(size * size)]
+            e_acc, v_acc = e[entries[0]], v[entries[0]]
+            for entry in entries[1:]:
+                e_acc, v_acc = _max_pair_arrays(e_acc, v_acc, e[entry], v[entry])
+            e_ref[b, c, i, j], v_ref[b, c, i, j] = e_acc[0], v_acc[0]
+        assert out.expectation.tobytes() == e_ref.tobytes()
+        assert out.variance.tobytes() == v_ref.tobytes()
+
     def test_crops_ragged_edges(self):
         x = np.arange(1 * 5 * 5, dtype=float).reshape(1, 5, 5)
         out = mp.maxpool2d_det(x, mp.MaxPool2DSpec(2))

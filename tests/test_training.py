@@ -324,6 +324,30 @@ class TestPoolRouting:
         assert np.count_nonzero(dx) == oh * ow
         assert_bitwise(dx, reference_input_grad(hmap, n, gout))
 
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_signed_zero_gradients_stay_at_their_winners(self, n):
+        # dropout's backward hands the pool -0.0 where a negative gradient
+        # meets a dropped unit; only the window's winner may carry that sign
+        rng = np.random.default_rng(n)
+        shape = (2 * n + 1, 3 * n + 2)  # a cropped row and cropped columns
+        hmap = rng.normal(size=shape)
+        oh, ow = shape[0] // n, shape[1] // n
+        gout = -rng.random((1, 1, oh, ow))
+        gout[rng.random(gout.shape) < 0.5] = -0.0
+        _, idx = pool_forward(hmap[None, None], n)
+        assert idx.dtype == np.min_scalar_type(n * n - 1)
+        dx = pool_input_grad(hmap, n, gout)
+        winners = np.zeros(shape, dtype=bool)
+        expected = np.zeros(shape)
+        best = reference_pool_windows(hmap[None, None], n).argmax(axis=-1)[0, 0]
+        for i, j in np.ndindex(oh, ow):
+            at = (i * n + best[i, j] // n, j * n + best[i, j] % n)
+            winners[at], expected[at] = True, gout[0, 0, i, j]
+        assert np.signbit(gout).all() and (gout == 0.0).any()
+        assert np.signbit(dx[winners]).all()
+        assert not np.signbit(dx[~winners]).any()
+        assert_bitwise(dx, expected)
+
     def test_grads_match_reference_on_held_out_cnn(self):
         images = gen_synthetic_images(400, n_classes=10, size=16, seed=7,
                                       split_fractions=(0.5, 0.125, 0.375))
