@@ -176,7 +176,23 @@ def _fit(model, data, schema, dropout_rates, lr_reduction, early_stopping, **opt
     ))
 
 
-def _read_inputs(path) -> np.ndarray:
+def _fit_inputs(x: np.ndarray, model, source) -> np.ndarray:
+    """The inputs read from ``source`` as a batch for the model: a lone
+    example becomes a batch of one; no rows, or any other shape than
+    (N,) + model.input_shape, is a DataError naming both shapes."""
+    if x.shape == model.input_shape:
+        return x[None]
+    if x.shape[:1] == (0,):
+        raise DataError(f"{source}: no input rows")
+    if x.shape[1:] != model.input_shape:
+        raise DataError(
+            f"{source}: inputs of shape {x.shape} do not fit the model's input shape "
+            f"{model.input_shape}; give one example or a batch of shape (N, *input shape)"
+        )
+    return x
+
+
+def _read_inputs(path, model) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such input file: {path}")
@@ -190,10 +206,10 @@ def _read_inputs(path) -> np.ndarray:
         x = np.asarray(rows, dtype=np.float64)
     except (ValueError, TypeError) as exc:
         raise DataError(f"{path}: non-numeric input rows: {exc}") from exc
+    x = _fit_inputs(x, model, path)
     bad = np.argwhere(~np.isfinite(x))
     if len(bad):
-        row = bad[0][0] if x.ndim else 0
-        raise DataError(f"{path}: input row {row} holds a non-finite value (NaN or inf)")
+        raise DataError(f"{path}: input row {bad[0][0]} holds a non-finite value (NaN or inf)")
     return x
 
 
@@ -262,11 +278,11 @@ def cmd_compare(obj, model_path, input_path, dataset_config, t, limit):
     """Per-example propagated moments vs T-sample estimates."""
     model = load_model(model_path)
     if input_path:
-        x = _read_inputs(input_path)
+        x = _read_inputs(input_path, model)
     elif dataset_config:
         kinds = _train_schema(obj["seed"])["dataset"]
         ds = _load_kind("dataset", _load_json(dataset_config), kinds, data_dir=obj["data_dir"])
-        x = ds.test_xy()[0]
+        x = _fit_inputs(ds.test_xy()[0], model, dataset_config)
     else:
         raise click.UsageError("provide --input or --dataset-config")
     _finish(experiments.run_compare(model, x[:limit], t=t, seed=obj["seed"]), obj, "compare")
@@ -409,7 +425,7 @@ def cmd_benchmark(obj, model_path, batch, t_list, repeats):
 def cmd_predict(obj, model_path, input_path, mode, t):
     """Predictive distribution for a batch of inputs."""
     model = load_model(model_path)
-    x = _read_inputs(input_path)
+    x = _read_inputs(input_path, model)
     if mode == "mc":
         pred = predict(model, x, MCSample(t, seed=obj["seed"]))
     else:

@@ -238,40 +238,6 @@ def load_csv_regression(
     return standardize_regression(ds) if standardize else ds
 
 
-def write_regression_csv(path, features, targets) -> None:
-    """Write (N, Q) features and (N,) targets as x0..x{Q-1},y with a header."""
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(features.shape[1])] + ["y"])
-        for row, y in zip(features, targets):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
-
-
-def gen_tabular_regression(
-    n: int,
-    n_features: int = 6,
-    noise_sigma: float = 0.3,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic smooth multivariate regression table (raw, unstandardized).
-
-    Stand-in rows for benchmark-style CSV runs: y is a fixed nonlinear
-    function of the features plus Gaussian noise.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-2.0, 2.0, size=(n, n_features))
-    coef = np.random.default_rng(seed + 1).standard_normal((3, n_features))
-    y = (
-        np.sin(x @ coef[0])
-        + 0.3 * np.square(x @ coef[1] / np.sqrt(n_features))
-        + 0.5 * (x @ coef[2] / n_features)
-        + noise_sigma * rng.standard_normal(n)
-    )
-    return x, y
-
-
 # ---------------------------------------------------------------------------
 # synthetic images (desk-scale image classification benchmark)
 #

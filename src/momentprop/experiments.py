@@ -442,6 +442,13 @@ def ood_seed_metrics(setup: OodSetup, seed: int, t: int = 50, mc_seed: int | Non
     Entropy of the predictive distribution is the detection score; the
     held-out classes are the positive class.
     """
+    return _ood_seed(setup, seed, t, mc_seed)[0]
+
+
+def _ood_seed(setup: OodSetup, seed: int, t: int, mc_seed: int | None = None):
+    """``ood_seed_metrics``' row, and the first member's entropies on the
+    in-distribution and held-out test sets (``{"ind"|"ood": {method: array}}``)
+    from which its correlations and single-model AUCs come."""
     if mc_seed is None:
         mc_seed = 9000 + seed
     models = setup.members[seed]
@@ -474,7 +481,7 @@ def ood_seed_metrics(setup: OodSetup, seed: int, t: int = 50, mc_seed: int | Non
         for method in ("nn", "mc", "mp"):
             scores = np.r_[metrics.entropy(ens_ind[method]), metrics.entropy(ens_ood[method])]
             result[f"auc_{method}_ens"] = metrics.roc_auc(scores, labels).auc
-    return result
+    return result, ent1
 
 
 def run_ood_experiment(
@@ -489,18 +496,15 @@ def run_ood_experiment(
         setup = build_ood_setup(
             seeds=seeds, ensemble_size=ensemble_size, threads=threads, **setup_kw
         )
-    rows = [ood_seed_metrics(setup, seed, t=t) for seed in setup.members]
-    seed0 = next(iter(setup.members))
-    model = setup.members[seed0][0]
+    per_seed = [_ood_seed(setup, seed, t) for seed in setup.members]
+    rows = [row for row, _ in per_seed]
     ent_rows = []
-    for sub, (x, _) in (("ind", (setup.ind_data.test_xy())),
-                        ("ood", (setup.ood_data.test_xy()))):
-        nn, mc, mp_ = _member_probs(model, x, t, 9000 + seed0)
-        h_nn, h_mc, h_mp = (metrics.entropy(p) for p in (nn, mc, mp_))
-        for i in range(len(x)):
+    # the first seed's entropies, those behind its row's auc_nn, auc_mc and auc_mp
+    for sub, h in per_seed[0][1].items():
+        for i in range(len(h["nn"])):
             ent_rows.append(
                 {"subset": sub, "example": i,
-                 "entropy_nn": h_nn[i], "entropy_mc": h_mc[i], "entropy_mp": h_mp[i]}
+                 "entropy_nn": h["nn"][i], "entropy_mc": h["mc"][i], "entropy_mp": h["mp"][i]}
             )
     return ExperimentReport(
         experiment="ood",

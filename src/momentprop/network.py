@@ -12,10 +12,10 @@ import json
 import math
 import operator
 import zlib
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -408,24 +408,21 @@ def _as_batch(model: ModelSpec, x):
     return xb, single
 
 
-def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, collect=None, passes=1):
+def _run_arrays(model: ModelSpec, xb, sample=None, upto=None, passes=1):
     """Walk the stack on a batched array with each kind's det op; with
     ``sample``, dropout layers run sample(h, spec, index, out) instead.
 
     Steps that ``ModelSpec.det_steps`` marks in place get their input as
-    ``out``; with ``collect``, which keeps every layer's output, none does.
-    ``passes`` > 1 marks ``xb`` as that many equal row blocks, one per
-    stacked MC pass, for the ops whose rows depend on the row count.
+    ``out``.  ``passes`` > 1 marks ``xb`` as that many equal row blocks, one
+    per stacked MC pass, for the ops whose rows depend on the row count.
     """
     h = xb
     for idx, (layer, det, in_place) in enumerate(model.det_steps[:upto]):
-        out = h if in_place and collect is None else None
+        out = h if in_place else None
         if sample is not None and type(layer) is DropoutSpec:
             h = sample(h, layer, idx, out)
         else:
             h = det(h, layer, out, passes)
-        if collect is not None:
-            collect.append(h)
     return h
 
 
@@ -449,29 +446,9 @@ class _DrawScratch:
         return np.empty(min(DRAW_BLOCK, self.widest)) if self.widest > FRESH_DRAW else None
 
 
-def _run_mp(model: ModelSpec, xb, upto=None, collect=None):
-    """Run the variance-free prefix deterministically, lift its output to
-    zero variance and fold the moment ops over the remaining layers.
-
-    Returns a MomentTensor, or a plain probability array once a softmax has
-    consumed the variance channel.
-    """
-    stop = len(model.layers[:upto])
-    start = min(model.det_prefix, stop)
-    points = [] if collect is not None else None
-    h = _run_arrays(model, xb, upto=start, collect=points)
-    if collect is not None:
-        collect.extend(MomentTensor._unchecked(p, np.zeros_like(p)) for p in points)
-    out = MomentTensor._unchecked(h, np.zeros_like(h))
-    for layer in model.layers[start:stop]:
-        out = KINDS[type(layer)].mp(out, layer)
-        if collect is not None:
-            collect.append(out)
-    return out
-
-
 def forward_det(model: ModelSpec, x, upto=None):
-    """Plain forward pass; dropout layers rescale by their keep rate."""
+    """Plain forward pass; dropout layers rescale by their keep rate.  As in
+    ``forward_sample`` and ``forward_mp``, ``upto=k`` returns layer k's output."""
     xb, squeeze = _as_batch(model, x)
     out = _run_arrays(model, xb, upto=upto)
     return out[0] if squeeze else out
@@ -491,38 +468,23 @@ def forward_sample(model: ModelSpec, x, rng_for_layer, upto=None):
 def forward_mp(model: ModelSpec, x, upto=None):
     """Single-pass expectation/variance forward.
 
+    Runs the variance-free prefix deterministically, lifts its output to
+    zero variance and folds the moment ops over the remaining layers.
     Regression models return a MomentTensor; classification models return the
     expected probability vector (no variance channel after softmax).
     """
     xb, squeeze = _as_batch(model, x)
-    out = _run_mp(model, xb, upto=upto)
+    stop = len(model.layers[:upto])
+    start = min(model.det_prefix, stop)
+    h = _run_arrays(model, xb, upto=start)
+    out = MomentTensor._unchecked(h, np.zeros_like(h))
+    for layer in model.layers[start:stop]:
+        out = KINDS[type(layer)].mp(out, layer)
     if not squeeze:
         return out
     if isinstance(out, MomentTensor):
         return MomentTensor(out.expectation[0], out.variance[0])
     return out[0]
-
-
-def trace_det(model: ModelSpec, x) -> list:
-    """Per-layer outputs of the deterministic forward (single example)."""
-    xb, _ = _as_batch(model, x)
-    outs: list = []
-    _run_arrays(model, xb, collect=outs)
-    return [o[0] for o in outs]
-
-
-def trace_mp(model: ModelSpec, x) -> list:
-    """Per-layer moment outputs of the propagation forward (single example)."""
-    xb, _ = _as_batch(model, x)
-    outs: list = []
-    _run_mp(model, xb, collect=outs)
-    result = []
-    for o in outs:
-        if isinstance(o, MomentTensor):
-            result.append(MomentTensor(o.expectation[0], o.variance[0]))
-        else:
-            result.append(o[0])
-    return result
 
 
 # ---------------------------------------------------------------------------

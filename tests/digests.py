@@ -13,6 +13,9 @@ Items:
 * ``forward_det``, ``forward_mp`` and ``mc_forward`` at T=30 on the toy
   3x256 MLP at 1 and 2048 rows, ``experiments.reference_cnn()`` on a batch
   of 32 images and the held-out-class CNN on 32 test images;
+* every layer's output, ``forward_det(upto=k)`` and ``forward_mp(upto=k)``
+  for k = 1..L, on the toy MLP at 1 row and the reference CNN at batch 32:
+  one line per model and mode;
 * seeded ``train()`` of the toy MLP and of the held-out-class CNN, 2 epochs
   each: the trained weights, the loss curves, the learning-rate history and
   the best epoch;
@@ -72,11 +75,24 @@ def train_cfg(loss, batch_size):
 
 
 def forward_items(name, model, x):
-    mp_out = network.forward_mp(model, x)
-    mp_parts = (mp_out.expectation, mp_out.variance) if hasattr(mp_out, "variance") else (mp_out,)
     yield f"forward_det {name}", digest(network.forward_det(model, x))
-    yield f"forward_mp {name}", digest(*mp_parts)
+    yield f"forward_mp {name}", digest(*moment_parts(network.forward_mp(model, x)))
     yield f"mc_forward T={MC_SAMPLES} {name}", digest(mc.mc_forward(model, x, MC_SAMPLES, seed=SEED).outputs)
+
+
+def moment_parts(out):
+    """A forward_mp output as arrays: (E, V), or the probabilities after softmax."""
+    return (out.expectation, out.variance) if hasattr(out, "variance") else (out,)
+
+
+def per_layer_items(name, model, x):
+    ks = range(1, len(model.layers) + 1)
+    yield f"per-layer forward_det {name}", digest(
+        *[network.forward_det(model, x, upto=k) for k in ks]
+    )
+    yield f"per-layer forward_mp {name}", digest(
+        *[a for k in ks for a in moment_parts(network.forward_mp(model, x, upto=k))]
+    )
 
 
 def train_item(name, model, dataset, cfg):
@@ -107,13 +123,13 @@ def gradient_items(name, model, x, y):
 
 def items():
     rng = np.random.default_rng(SEED)
-    mlp = toy_mlp()
-    yield from forward_items("toy-mlp 1 row", mlp, rng.uniform(-3.0, 3.0, (1, 1)))
+    mlp, one_row = toy_mlp(), rng.uniform(-3.0, 3.0, (1, 1))
+    yield from forward_items("toy-mlp 1 row", mlp, one_row)
     yield from forward_items("toy-mlp 2048 rows", mlp, np.sort(rng.uniform(-3.0, 3.0, 2048))[:, None])
-    yield from forward_items(
-        "reference-cnn batch 32", experiments.reference_cnn(seed=SEED),
-        rng.standard_normal((32, 3, 32, 32)),
-    )
+    ref_cnn, batch = experiments.reference_cnn(seed=SEED), rng.standard_normal((32, 3, 32, 32))
+    yield from forward_items("reference-cnn batch 32", ref_cnn, batch)
+    yield from per_layer_items("toy-mlp 1 row", mlp, one_row)
+    yield from per_layer_items("reference-cnn batch 32", ref_cnn, batch)
     cnn = held_out_cnn()
     ind, ood = held_out_images()
     test = np.concatenate([ind.test_xy()[0], ood.test_xy()[0]])

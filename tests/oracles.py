@@ -1,14 +1,17 @@
-"""Reference implementations the tests compare the package against.
+"""Reference implementations the tests compare the package against, and
+test-only helpers.
 
 Scalar Gaussian helpers (the oracles of the moment tests and of criterion
 3's K=2 check), the brute-force layer oracle that validates every
-propagated moment, central differences for the trainer's gradients, and the
-per-image synthetic image generator that ``data.gen_synthetic_images`` must
-match byte for byte.
+propagated moment, each layer's output of a forward, central differences
+for the trainer's gradients, the per-image synthetic image generator that
+``data.gen_synthetic_images`` must match byte for byte, and a synthetic
+regression table with its CSV writer.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +192,11 @@ def _pool_field(layer, mean, std, component):
 _RECEPTIVE_FIELDS = {Conv2DSpec: _conv_field, MaxPool2DSpec: _pool_field}
 
 
+def per_layer(forward, model, x) -> list:
+    """Each layer's output of ``forward`` (forward_det or forward_mp) on x."""
+    return [forward(model, x, upto=k) for k in range(1, len(model.layers) + 1)]
+
+
 def gradient_errors(model, x, y, loss_kind, seed, step=1e-5):
     """Yield (where, relative error) of every analytic parameter gradient
     against central differences, under one set of dropout masks."""
@@ -302,3 +310,41 @@ def gen_synthetic_images_per_image(
         features=images, targets=labels, split=split,
         task="classification", n_classes=n_classes,
     )
+
+
+# ---------------------------------------------------------------------------
+# tabular regression CSVs
+
+
+def write_regression_csv(path, features, targets) -> None:
+    """Write (N, Q) features and (N,) targets as x0..x{Q-1},y with a header."""
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(features.shape[1])] + ["y"])
+        for row, y in zip(features, targets):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+
+
+def gen_tabular_regression(
+    n: int,
+    n_features: int = 6,
+    noise_sigma: float = 0.3,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic smooth multivariate regression table (raw, unstandardized).
+
+    Stand-in rows for benchmark-style CSV runs: y is a fixed nonlinear
+    function of the features plus Gaussian noise.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=(n, n_features))
+    coef = np.random.default_rng(seed + 1).standard_normal((3, n_features))
+    y = (
+        np.sin(x @ coef[0])
+        + 0.3 * np.square(x @ coef[1] / np.sqrt(n_features))
+        + 0.5 * (x @ coef[2] / n_features)
+        + noise_sigma * rng.standard_normal(n)
+    )
+    return x, y

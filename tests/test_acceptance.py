@@ -17,8 +17,17 @@ from momentprop import experiments as ex
 from momentprop import metrics
 from momentprop.mc import mc_forward
 from momentprop.moments import MomentTensor
-from momentprop.network import forward_det, forward_mp, trace_det, trace_mp
-from oracles import GaussianScalar, _RunningMoments, gradient_errors, layer_oracle, maxpool_pair
+from momentprop.network import forward_det, forward_mp
+from oracles import (
+    GaussianScalar,
+    _RunningMoments,
+    gen_tabular_regression,
+    gradient_errors,
+    layer_oracle,
+    maxpool_pair,
+    per_layer,
+    write_regression_csv,
+)
 
 SEED = 20240817
 
@@ -287,7 +296,7 @@ class TestCriterion5ZeroDropoutEquivalence:
         for _ in range(20):
             model = _random_classifier(rng)
             x = rng.standard_normal(model.input_shape)
-            td, tm = trace_det(model, x), trace_mp(model, x)
+            td, tm = per_layer(forward_det, model, x), per_layer(forward_mp, model, x)
             assert np.array_equal(td[-2], tm[-2].expectation), "pre-softmax not bit-exact"
             for out in tm[:-1]:
                 assert np.all(out.variance == 0.0), "nonzero variance with no dropout"
@@ -351,7 +360,7 @@ class TestCriterion6ToyRegression:
 class TestCriterion7UciAgreement:
     def test_uci_standins(self, tmp_path):
         started = time.time()
-        from momentprop.data import gen_tabular_regression, load_csv_regression, write_regression_csv
+        from momentprop.data import load_csv_regression
 
         rows = []
         for name, seed, q, sigma in (("standin_a", 11, 6, 0.35), ("standin_b", 23, 8, 0.5)):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import momentprop as mp
 from momentprop.cli import cli
-from momentprop.data import gen_tabular_regression, write_regression_csv
+from oracles import gen_tabular_regression, write_regression_csv
 
 
 @pytest.fixture
@@ -275,6 +275,66 @@ class TestNonFiniteInputs:
                                      str(trained_model_path), "--input", str(npy), "--t", "8"])
         assert result.exit_code == 3, result.output
         assert "row 2" in result.output and "Traceback" not in result.output
+
+
+@pytest.fixture
+def mlp3_path(tmp_path):
+    path = tmp_path / "mlp3.mpmdl"
+    mp.save_model(mp.mlp_regression(3, hidden=(8,), seed=0), path)
+    return path
+
+
+class TestInputShapes:
+    """predict and compare read a lone example as a batch of one; inputs of
+    any other shape than (N,) + the model's input shape, and a file with no
+    rows, are a data error (exit 3) that names the file and both shapes."""
+
+    BAD = {
+        "two-columns.csv": ("x0,x1\n0.5,1.0\n0.2,0.3\n", "shape (2, 2)"),
+        "header-only.csv": ("x0,x1,x2\n", "no input rows"),
+        "rank-3.npy": (np.zeros((2, 3, 1)), "shape (2, 3, 1)"),
+        "no-rows.npy": (np.zeros((0, 3)), "no input rows"),
+    }
+
+    @staticmethod
+    def invoke(runner, command, model_path, out, *args):
+        return runner.invoke(cli, ["--out", str(out), command, str(model_path), *args, "--t", "8"])
+
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_input_that_does_not_fit_is_data_error(self, runner, mlp3_path, tmp_path, command,
+                                                   name):
+        content, detail = self.BAD[name]
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            np.save(path, content)
+        result = self.invoke(runner, command, mlp3_path, tmp_path / "o", "--input", str(path))
+        assert result.exit_code == 3, result.output
+        assert name in result.output and detail in result.output
+        assert "Traceback" not in result.output
+        if detail.startswith("shape"):
+            assert "input shape (3,)" in result.output
+
+    @pytest.mark.parametrize("command, table", [("predict", "predictions.csv"),
+                                                ("compare", "per_example.csv")])
+    def test_one_example_is_a_batch_of_one(self, runner, mlp3_path, tmp_path, command, table):
+        npy = tmp_path / "one.npy"
+        np.save(npy, np.array([0.1, -0.2, 0.3]))
+        out = tmp_path / "o"
+        result = self.invoke(runner, command, mlp3_path, out, "--input", str(npy))
+        assert result.exit_code == 0, result.output
+        assert len((out / table).read_text().splitlines()) == 2
+
+    def test_dataset_that_does_not_fit_is_data_error(self, runner, mlp3_path, tmp_path):
+        spec = tmp_path / "toy.json"
+        spec.write_text(json.dumps({"kind": "toy", "n": 64}))  # one feature per row
+        result = self.invoke(runner, "compare", mlp3_path, tmp_path / "o",
+                             "--dataset-config", str(spec))
+        assert result.exit_code == 3, result.output
+        assert "toy.json" in result.output and "input shape (3,)" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestExperimentCommands:

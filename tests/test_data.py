@@ -9,16 +9,14 @@ from momentprop.data import (
     Dataset,
     destandardize_mean_var,
     gen_synthetic_images,
-    gen_tabular_regression,
     gen_toy_regression,
     load_cifar10,
     load_csv_regression,
     ood_partition,
     standardize_regression,
     toy_target,
-    write_regression_csv,
 )
-from oracles import gen_synthetic_images_per_image
+from oracles import gen_synthetic_images_per_image, gen_tabular_regression, write_regression_csv
 
 
 class TestToyRegression:

@@ -5,8 +5,9 @@ import pytest
 
 import momentprop as mp
 from momentprop import experiments as ex
-from momentprop.data import gen_tabular_regression, load_csv_regression, write_regression_csv
+from momentprop.data import load_csv_regression
 from momentprop.network import kind_of
+from oracles import gen_tabular_regression, write_regression_csv
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,14 @@ class TestOodExperiment:
         assert len(report.tables["ood_metrics"]) == 2
         assert "entropies" in report.tables
         assert report.config["ind_classes"] == [0, 1, 4, 5, 8]
+
+    def test_entropies_table_gives_the_first_row_aucs(self, tiny_setup):
+        report = ex.run_ood_experiment(setup=tiny_setup, t=4)
+        table, row = report.tables["entropies"], report.tables["ood_metrics"][0]
+        labels = np.array([r["subset"] == "ood" for r in table], dtype=float)
+        for method in ("nn", "mc", "mp"):
+            scores = np.array([r[f"entropy_{method}"] for r in table])
+            assert mp.roc_auc(scores, labels).auc == row[f"auc_{method}"], method
 
     def test_filter_report(self, tiny_setup):
         report = ex.run_filter_experiment(setup=tiny_setup, t=4)

@@ -17,11 +17,9 @@ from momentprop.network import (
     MCSample,
     MomentPropagation,
     kind_of,
-    trace_det,
-    trace_mp,
 )
 from momentprop.training import override_dropout
-from oracles import layer_oracle
+from oracles import layer_oracle, per_layer
 
 
 @st.composite
@@ -108,13 +106,12 @@ def every_forward(model):
         "forward_mp": lambda x: mp.forward_mp(model, x),
         "mc_forward": lambda x: mc.mc_forward(model, x, 3, seed=1),
         "forward_sample": lambda x: network.forward_sample(model, x, stream),
-        "trace_det": lambda x: trace_det(model, x),
-        "trace_mp": lambda x: trace_mp(model, x),
     }
     for mode in (Deterministic(), MomentPropagation(), MCSample(3, seed=1)):
         calls[f"predict-{type(mode).__name__}"] = lambda x, mode=mode: mp.predict(model, x, mode)
     for k in range(1, len(model.layers)):
         calls[f"forward_det-upto{k}"] = lambda x, k=k: mp.forward_det(model, x, upto=k)
+        calls[f"forward_mp-upto{k}"] = lambda x, k=k: mp.forward_mp(model, x, upto=k)
         calls[f"forward_sample-upto{k}"] = lambda x, k=k: network.forward_sample(
             model, x, stream, upto=k
         )
@@ -155,7 +152,7 @@ class TestKindProperties:
     @settings(max_examples=80, deadline=None)
     @given(models())
     def test_layer_shapes_match_trace_det(self, model):
-        shapes = tuple(out.shape for out in trace_det(model, example_input(model)))
+        shapes = tuple(out.shape for out in per_layer(mp.forward_det, model, example_input(model)))
         assert shapes == model.layer_shapes
 
     @settings(max_examples=80, deadline=None)
@@ -163,7 +160,7 @@ class TestKindProperties:
     def test_zero_rate_mp_equals_det_before_softmax(self, model):
         zero = override_dropout(model, (0.0,) * len(model.dropout_rates))
         x = example_input(zero)
-        td, tm = trace_det(zero, x), trace_mp(zero, x)
+        td, tm = per_layer(mp.forward_det, zero, x), per_layer(mp.forward_mp, zero, x)
         assert len(td) == len(tm) == len(zero.layers)
         for layer, det, moments in zip(zero.layers, td, tm):
             if isinstance(layer, mp.SoftmaxSpec):
@@ -324,7 +321,7 @@ class TestPropagationProperties:
     @given(models(), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 30.0)))
     def test_mp_variance_finite_and_nonnegative_at_every_layer(self, model, seed, scale):
         x = scale * example_input(model, seed=seed)
-        for layer, out in zip(model.layers, trace_mp(model, x)):
+        for layer, out in zip(model.layers, per_layer(mp.forward_mp, model, x)):
             if isinstance(out, MomentTensor):
                 assert np.isfinite(out.expectation).all() and np.isfinite(out.variance).all()
                 assert (out.variance >= 0.0).all(), kind_of(layer).name

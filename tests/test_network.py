@@ -12,9 +12,8 @@ from momentprop.network import (
     MalformedModelError,
     ModelChecksumError,
     ModelVersionError,
-    trace_det,
-    trace_mp,
 )
+from oracles import per_layer
 
 
 def small_regressor(seed=0, dropout=0.2):
@@ -89,7 +88,7 @@ class TestForwardModes:
     def test_zero_dropout_mp_equals_det(self):
         model = small_classifier(dropout=0.0)
         x = np.random.default_rng(0).standard_normal((1, 8, 8))
-        td, tm = trace_det(model, x), trace_mp(model, x)
+        td, tm = per_layer(mp.forward_det, model, x), per_layer(mp.forward_mp, model, x)
         assert np.array_equal(td[-2], tm[-2].expectation)  # bit-exact pre-softmax
         assert np.all(tm[-2].variance == 0.0)
         assert np.abs(td[-1] - tm[-1]).max() < 1e-3
@@ -168,15 +167,12 @@ class TestVarianceFreePrefix:
             model = mp.mlp_regression(1, hidden=(256, 256, 256), dropout_rate=0.3, seed=1)
             prefix, x = 2, np.array([0.7])  # dense, relu
         assert model.det_prefix == prefix
-        td, tm = trace_det(model, x), trace_mp(model, x)
+        td, tm = per_layer(mp.forward_det, model, x), per_layer(mp.forward_mp, model, x)
         assert len(tm) == len(model.layers)
         for k in range(prefix):
             assert isinstance(tm[k], MomentTensor)
             assert np.array_equal(tm[k].expectation, td[k])
             assert np.array_equal(tm[k].variance, np.zeros_like(td[k]))
-            upto = mp.forward_mp(model, x, upto=k + 1)
-            assert np.array_equal(upto.expectation, td[k])
-            assert np.array_equal(upto.variance, tm[k].variance)
         # the first dropout receives the prefix output lifted to zero variance
         first = mp.dropout_mp(MomentTensor.from_point(td[prefix - 1]), model.layers[prefix])
         assert np.array_equal(tm[prefix].expectation, first.expectation)
@@ -192,7 +188,7 @@ class TestVarianceFreePrefix:
         )
         assert model.det_prefix == 0
         x = rng.normal(size=3)
-        tm = trace_mp(model, x)
+        tm = per_layer(mp.forward_mp, model, x)
         first = mp.dropout_mp(MomentTensor.from_point(x), model.layers[0])
         assert np.array_equal(tm[0].expectation, first.expectation)
         assert np.array_equal(tm[0].variance, first.variance)
@@ -231,14 +227,6 @@ class TestWalkerMemory:
         activations = peak / (len(x) * 256 * 8)
         print(f"{name}: peak traced memory {activations:.3f} activations of 2048x256 float64")
         assert activations <= 2.2
-
-    def test_trace_det_equals_upto(self):
-        # trace_det keeps every layer's output, so it runs nothing in place;
-        # forward_det(upto=k) does, and must stop at the same values
-        model, x = self.toy()
-        for xs, row in ((x[:64], 0), (x[5], ...)):
-            for k, entry in enumerate(trace_det(model, xs), start=1):
-                assert entry.tobytes() == mp.forward_det(model, xs, upto=k)[row].tobytes()
 
 
 class TestPredict:
