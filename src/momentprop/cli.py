@@ -426,10 +426,8 @@ def cmd_predict(obj, model_path, input_path, mode, t):
     """Predictive distribution for a batch of inputs."""
     model = load_model(model_path)
     x = _read_inputs(input_path, model)
-    if mode == "mc":
-        pred = predict(model, x, MCSample(t, seed=obj["seed"]))
-    else:
-        pred = predict(model, x, Deterministic() if mode == "det" else MomentPropagation())
+    modes = {"det": Deterministic, "mc": lambda: MCSample(t, obj["seed"]), "mp": MomentPropagation}
+    pred = predict(model, x, modes[mode]())
     rows = []
     if model.task == "regression":
         total = pred.total_variance

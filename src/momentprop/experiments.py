@@ -29,12 +29,15 @@ from .data import (
 )
 from .mc import mc_forward
 from .network import (
-    CategoricalPrediction,
+    Deterministic,
+    MCSample,
     ModelSpec,
+    MomentPropagation,
     cnn_classifier,
     forward_det,
     forward_mp,
     mlp_regression,
+    predict,
 )
 from .training import TrainConfig, grid_search_uci, train
 
@@ -76,8 +79,9 @@ class ExperimentReport:
 
 
 def _timed_with_median(fn, repeats, min_total_s: float = 1.5):
-    """Last result plus mean/SE/median of per-call wall time and the number
-    of calls timed, after one untimed warm-up call.
+    """Last result, and the mean, SE and median of per-call wall time and the
+    number of calls timed, ``{"mean_s", "se_s", "median_s", "repeats"}``,
+    after one untimed warm-up call.
 
     Short-running calls are repeated until at least ``min_total_s`` of
     measured time accumulates (never fewer than ``repeats`` calls), which
@@ -95,7 +99,8 @@ def _timed_with_median(fn, repeats, min_total_s: float = 1.5):
         times.append(elapsed)
         total += elapsed
     mean, se = metrics.mean_with_se(times)
-    return result, mean, se, float(np.median(times)), len(times)
+    return result, {"mean_s": mean, "se_s": se, "median_s": float(np.median(times)),
+                    "repeats": len(times)}
 
 
 def _parallel_map(fn, items, threads: int = 1):
@@ -238,9 +243,7 @@ def run_toy_experiment(
     t: int = 10_000, seed: int = 0, epochs: int = 2000, n: int = 1536, **train_kw
 ) -> ExperimentReport:
     model, data, train_report = train_toy_model(n=n, epochs=epochs, seed=seed, **train_kw)
-    rows, mean_s, se_s, _, n_timed = _timed_with_median(
-        lambda: toy_curves(model, data, t=t, seed=seed), 3
-    )
+    rows, timing = _timed_with_median(lambda: toy_curves(model, data, t=t, seed=seed), 3)
     config = {
         "t": t, "seed": seed, "epochs": epochs, "n": n,
         "hidden": list(train_kw.get("hidden", (256, 256, 256))),
@@ -251,7 +254,7 @@ def run_toy_experiment(
         config=config,
         tables={"curves": rows},
         runtimes={
-            "curve_evaluation": {"mean_s": mean_s, "se_s": se_s, "repeats": n_timed},
+            "curve_evaluation": timing,
             "training": {"mean_s": train_report.wall_clock_seconds, "se_s": 0.0, "repeats": 1},
         },
     )
@@ -298,8 +301,8 @@ def uci_run(
         mean, var = destandardize_mean_var(rec, mt.expectation[:, 0], mt.variance[:, 0])
         return metrics.score_regression_mp(mean, var, tau_orig, y_test)
 
-    score_mc, rt_mc, rt_mc_se, _, _ = _timed_with_median(eval_mc, timing_repeats)
-    score_mp, rt_mp, rt_mp_se, _, _ = _timed_with_median(eval_mp, timing_repeats)
+    score_mc, rt_mc = _timed_with_median(eval_mc, timing_repeats)
+    score_mp, rt_mp = _timed_with_median(eval_mp, timing_repeats)
     _, nll_mc_se = metrics.mean_with_se(-score_mc.log_densities)
     _, nll_mp_se = metrics.mean_with_se(-score_mp.log_densities)
     return {
@@ -312,13 +315,13 @@ def uci_run(
         "rmse_mc": score_mc.rmse,
         "nll_mc": score_mc.nll,
         "nll_mc_se": nll_mc_se,
-        "rt_mc_s": rt_mc,
-        "rt_mc_se_s": rt_mc_se,
+        "rt_mc_s": rt_mc["mean_s"],
+        "rt_mc_se_s": rt_mc["se_s"],
         "rmse_mp": score_mp.rmse,
         "nll_mp": score_mp.nll,
         "nll_mp_se": nll_mp_se,
-        "rt_mp_s": rt_mp,
-        "rt_mp_se_s": rt_mp_se,
+        "rt_mp_s": rt_mp["mean_s"],
+        "rt_mp_se_s": rt_mp["se_s"],
     }
 
 
@@ -417,23 +420,17 @@ def build_ood_setup(
     return OodSetup(ind_data=ind_data, ood_data=ood_data, members=members, config=config)
 
 
-def _member_probs(model: ModelSpec, x, t: int, mc_seed: int):
-    """(nn, mc, mp) probability matrices for one model on a batch."""
-    probs_nn = forward_det(model, x)
-    probs_mc = mc_forward(model, x, t, seed=mc_seed).outputs.mean(axis=0)
-    probs_mp = forward_mp(model, x)
-    return probs_nn, probs_mc, probs_mp
+def _member_probs(model: ModelSpec, x, t: int, mc_seed: int) -> dict:
+    """``{"nn"|"mc"|"mp": predict(...)}`` for one model on a batch: the plain
+    forward, T-pass MC dropout and moment propagation."""
+    modes = {"nn": Deterministic(), "mc": MCSample(t, mc_seed), "mp": MomentPropagation()}
+    return {method: predict(model, x, mode) for method, mode in modes.items()}
 
 
-def ensemble_probs(models: list[ModelSpec], x, t: int, mc_seed: int):
-    """Average each method's probabilities across ensemble members."""
-    per_method = {"nn": [], "mc": [], "mp": []}
-    for j, model in enumerate(models):
-        nn, mc, mp_ = _member_probs(model, x, t, mc_seed + 17 * j)
-        per_method["nn"].append(CategoricalPrediction(nn))
-        per_method["mc"].append(CategoricalPrediction(mc))
-        per_method["mp"].append(CategoricalPrediction(mp_))
-    return {k: metrics.ensemble_combine(v).probs for k, v in per_method.items()}
+def ensemble_probs(models: list[ModelSpec], x, t: int, mc_seed: int) -> dict:
+    """Each method's members' predictions combined by ``ensemble_combine``."""
+    members = [_member_probs(model, x, t, mc_seed + 17 * j) for j, model in enumerate(models)]
+    return {m: metrics.ensemble_combine([p[m] for p in members]) for m in members[0]}
 
 
 def ood_seed_metrics(setup: OodSetup, seed: int, t: int = 50, mc_seed: int | None = None) -> dict:
@@ -454,32 +451,26 @@ def _ood_seed(setup: OodSetup, seed: int, t: int, mc_seed: int | None = None):
     models = setup.members[seed]
     x_ind, y_ind = setup.ind_data.test_xy()
     x_ood, _ = setup.ood_data.test_xy()
-    sizes = {"ens": len(models)}
-    result = {"seed": seed, "t": t, **sizes}
-    probs1 = {
-        "ind": {m: p for m, p in zip(("nn", "mc", "mp"), _member_probs(models[0], x_ind, t, mc_seed))},
-        "ood": {m: p for m, p in zip(("nn", "mc", "mp"), _member_probs(models[0], x_ood, t, mc_seed + 1))},
-    }
-    ent1 = {sub: {m: metrics.entropy(p) for m, p in d.items()} for sub, d in probs1.items()}
-    for sub in ("ind", "ood"):
-        r_mp, lo_mp, hi_mp = metrics.pearson_ci(ent1[sub]["mp"], ent1[sub]["mc"])
-        r_nn, lo_nn, hi_nn = metrics.pearson_ci(ent1[sub]["nn"], ent1[sub]["mc"])
-        result[f"pearson_mp_mc_{sub}"] = r_mp
-        result[f"pearson_mp_mc_{sub}_lo"] = lo_mp
-        result[f"pearson_mp_mc_{sub}_hi"] = hi_mp
-        result[f"pearson_nn_mc_{sub}"] = r_nn
-        result[f"pearson_nn_mc_{sub}_lo"] = lo_nn
-        result[f"pearson_nn_mc_{sub}_hi"] = hi_nn
+    result = {"seed": seed, "t": t, "ens": len(models)}
+    probs1 = {"ind": _member_probs(models[0], x_ind, t, mc_seed),
+              "ood": _member_probs(models[0], x_ood, t, mc_seed + 1)}
+    ent1 = {sub: {m: p.entropy() for m, p in d.items()} for sub, d in probs1.items()}
+    for sub, ent in ent1.items():
+        for method in ("mp", "nn"):
+            key = f"pearson_{method}_mc_{sub}"
+            result[key], result[f"{key}_lo"], result[f"{key}_hi"] = metrics.pearson_ci(
+                ent[method], ent["mc"]
+            )
     labels = np.r_[np.zeros(len(x_ind)), np.ones(len(x_ood))]
     for method in ("nn", "mc", "mp"):
         scores = np.r_[ent1["ind"][method], ent1["ood"][method]]
         result[f"auc_{method}"] = metrics.roc_auc(scores, labels).auc
-    result["accuracy_ind"] = float((probs1["ind"]["mp"].argmax(axis=1) == y_ind).mean())
+    result["accuracy_ind"] = float((probs1["ind"]["mp"].probs.argmax(axis=1) == y_ind).mean())
     if len(models) > 1:
         ens_ind = ensemble_probs(models, x_ind, t, mc_seed + 2)
         ens_ood = ensemble_probs(models, x_ood, t, mc_seed + 3)
         for method in ("nn", "mc", "mp"):
-            scores = np.r_[metrics.entropy(ens_ind[method]), metrics.entropy(ens_ood[method])]
+            scores = np.r_[ens_ind[method].entropy(), ens_ood[method].entropy()]
             result[f"auc_{method}_ens"] = metrics.roc_auc(scores, labels).auc
     return result, ent1
 
@@ -532,13 +523,12 @@ def run_filter_experiment(
     models = setup.members[seed0]
     x, y = setup.ind_data.test_xy()
     rows = []
-    variants = [("1", {m: p for m, p in zip(("nn", "mc", "mp"),
-                                            _member_probs(models[0], x, t, 9100))})]
+    variants = [("1", _member_probs(models[0], x, t, 9100))]
     if len(models) > 1:
         variants.append((str(len(models)), ensemble_probs(models, x, t, 9200)))
     for ens_tag, probs in variants:
         for method in ("nn", "mc", "mp"):
-            for row in metrics.filter_curve(probs[method], y, kind=kind):
+            for row in metrics.filter_curve(probs[method].probs, y, kind=kind):
                 rows.append({"method": method, "ensemble": ens_tag, **row})
     return ExperimentReport(
         experiment="filter",
@@ -642,29 +632,18 @@ def run_benchmark(
     per-mode medians, which are robust to scheduler noise on shared hosts.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    rows = []
-    _, det_s, det_se, det_med, n_det = _timed_with_median(
-        lambda: forward_det(model, batch), repeats
-    )
-    rows.append({"mode": "det", "t": 1, "mean_s": det_s, "se_s": det_se,
-                 "median_s": det_med, "repeats": n_det})
-    _, mp_s, mp_se, mp_med, n_mp = _timed_with_median(lambda: forward_mp(model, batch), repeats)
-    rows.append({"mode": "mp", "t": 1, "mean_s": mp_s, "se_s": mp_se,
-                 "median_s": mp_med, "repeats": n_mp})
-    mc_med = {}
-    for t in t_list:
-        _, mc_s, mc_se, med, n_mc = _timed_with_median(
-            lambda t=t: mc_forward(model, batch, t, seed=seed), repeats
-        )
-        rows.append({"mode": "mc", "t": t, "mean_s": mc_s, "se_s": mc_se,
-                     "median_s": med, "repeats": n_mc})
-        mc_med[t] = med
+    forwards = [("det", 1, lambda: forward_det(model, batch)),
+                ("mp", 1, lambda: forward_mp(model, batch))]
+    forwards += [("mc", t, lambda t=t: mc_forward(model, batch, t, seed=seed)) for t in t_list]
+    timings = [(mode, t, _timed_with_median(fn, repeats)[1]) for mode, t, fn in forwards]
+    rows = [{"mode": mode, "t": t, **timing} for mode, t, timing in timings]
+    med = {(r["mode"], r["t"]): r["median_s"] for r in rows}
     ratios = [
         {
             "t": t,
-            "mc_over_mp": mc_med[t] / mp_med,
-            "mc_over_det": mc_med[t] / det_med,
-            "mp_over_det": mp_med / det_med,
+            "mc_over_mp": med["mc", t] / med["mp", 1],
+            "mc_over_det": med["mc", t] / med["det", 1],
+            "mp_over_det": med["mp", 1] / med["det", 1],
         }
         for t in t_list
     ]
@@ -673,6 +652,5 @@ def run_benchmark(
         config={"batch": int(batch.shape[0]), "t_list": list(t_list),
                 "repeats": repeats, "seed": seed, "model": model.metadata.name},
         tables={"timings": rows, "ratios": ratios},
-        runtimes={"det": {"mean_s": det_s, "se_s": det_se, "repeats": n_det},
-                  "mp": {"mean_s": mp_s, "se_s": mp_se, "repeats": n_mp}},
+        runtimes={mode: timing for mode, _, timing in timings[:2]},
     )

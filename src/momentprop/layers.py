@@ -338,21 +338,18 @@ def _dropout_arrays(e, v, rate):
 
 
 def dense_det(x, spec: DenseSpec, passes: int = 1):
-    """``x @ W + b``.  With ``passes`` > 1, ``x`` is that many equal row
-    blocks (stacked MC passes) and each block gets its own matmul: a
-    product's rows are not bitwise independent of its row count (one row
-    takes another BLAS kernel than 32), so each pass keeps the product it
-    would get alone."""
+    """``x @ W + b``.  With ``passes`` > 1, ``x`` is that many equal row blocks
+    (stacked MC passes), multiplied as one stack of matrices: a product's rows
+    are not bitwise independent of its row count (one row takes another BLAS
+    kernel than 32), so each pass keeps the product it would get alone.  One
+    pass skips the stack: its reshapes cost a one-row det forward about 10%."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.in_dim:
         raise ValueError(f"dense expects {spec.in_dim} inputs, got shape {x.shape}")
     if passes == 1:
         out = x @ spec.weights
     else:
-        out = np.empty(x.shape[:-1] + (spec.out_dim,))
-        blocks = zip(x.reshape(passes, -1, spec.in_dim), out.reshape(passes, -1, spec.out_dim))
-        for x_pass, out_pass in blocks:
-            np.matmul(x_pass, spec.weights, out=out_pass)
+        out = np.matmul(x.reshape(passes, -1, spec.in_dim), spec.weights).reshape(-1, spec.out_dim)
     out += spec.bias
     return out
 

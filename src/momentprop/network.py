@@ -554,31 +554,32 @@ PredictiveDistribution = GaussianPrediction | CategoricalPrediction
 
 
 def predict(model: ModelSpec, x, mode: ForwardMode = Deterministic()) -> PredictiveDistribution:
-    """Run the model and wrap the output as a predictive distribution."""
-    if model.task == TASK_REGRESSION:
+    """Run the model in ``mode`` and wrap the output as a predictive distribution.
+
+    Finite inputs can still overflow: an output that holds NaN or inf raises
+    FloatingPointError, without the RuntimeWarnings of the ops that made it.
+    """
+    regression = model.task == TASK_REGRESSION
+    with np.errstate(all="ignore"):
         if isinstance(mode, Deterministic):
-            out = forward_det(model, x)
-            mean = out[..., 0]
-            return GaussianPrediction(mean, np.zeros_like(mean), model.tau)
-        if isinstance(mode, MomentPropagation):
-            mt = forward_mp(model, x)
-            return GaussianPrediction(mt.expectation[..., 0], mt.variance[..., 0], model.tau)
-        if isinstance(mode, MCSample):
+            mean = forward_det(model, x)
+            var = np.zeros_like(mean)
+        elif isinstance(mode, MomentPropagation):
+            out = forward_mp(model, x)
+            mean, var = (out.expectation, out.variance) if regression else (out, 0.0)
+        elif isinstance(mode, MCSample):
             from .mc import mc_forward
 
-            est = mc_forward(model, x, mode.t, mode.seed).moments()
-            return GaussianPrediction(est.mean[..., 0], est.variance[..., 0], model.tau)
-        raise TypeError(f"unknown forward mode {mode!r}")
-    # classification
-    if isinstance(mode, Deterministic):
-        return CategoricalPrediction(forward_det(model, x))
-    if isinstance(mode, MomentPropagation):
-        return CategoricalPrediction(forward_mp(model, x))
-    if isinstance(mode, MCSample):
-        from .mc import mc_forward
-
-        return CategoricalPrediction(mc_forward(model, x, mode.t, mode.seed).outputs.mean(axis=0))
-    raise TypeError(f"unknown forward mode {mode!r}")
+            batch = mc_forward(model, x, mode.t, mode.seed)
+            mean = batch.outputs.mean(axis=0)
+            var = batch.moments().variance if regression else 0.0
+        else:
+            raise TypeError(f"unknown forward mode {mode!r}")
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+        raise FloatingPointError(f"the {type(mode).__name__} forward overflowed to NaN or inf")
+    if regression:
+        return GaussianPrediction(mean[..., 0], var[..., 0], model.tau)
+    return CategoricalPrediction(mean)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +651,8 @@ def load_model(path) -> ModelSpec:
         raise MalformedModelError("declared manifest length exceeds file size")
     try:
         manifest = json.loads(body[:manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedModelError(f"manifest is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedModelError(f"manifest cannot be parsed as JSON: {exc}") from exc
     entries = manifest.get("layers") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise MalformedModelError("manifest has no layer list")

@@ -4,11 +4,12 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/digests.py
 
-It prints one ``<sha256>  <item>`` line per item, then one over all of them.
-A change that promises bitwise-unchanged outputs prints the same lines
-before and after it.  pytest does not collect this file.
+It prints one ``<sha256>  <item>`` line per item, in two groups, each
+followed by one line over the group's lines.  A change that promises
+bitwise-unchanged outputs prints the same lines before and after it.
+pytest does not collect this file.
 
-Items:
+The first group, whose last line is ``all``:
 
 * ``forward_det``, ``forward_mp`` and ``mc_forward`` at T=30 on the toy
   3x256 MLP at 1 and 2048 rows, ``experiments.reference_cnn()`` on a batch
@@ -23,11 +24,21 @@ Items:
   the loss and parameter gradients of ``grads_with_params``, and every
   layer's input gradient.  The CNN's dropout follows each pool, so its
   backward hands the pool gradients that hold -0.0.
+
+The second group, whose last line is ``all predict and protocols``:
+
+* ``predict`` in each mode (MC at T=30) on the toy MLP at 2048 rows and
+  on the held-out-class CNN on 32 test images: the fields of the
+  predictive distribution;
+* the tables of ``run_ood_experiment``, ``run_filter_experiment`` and
+  ``auc_vs_t_rows`` on a tiny held-out-class set-up, an ensemble of 2
+  members, as JSON with every float at full precision.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -143,13 +154,46 @@ def items():
     yield from gradient_items("held-out-cnn batch 64", cnn, x[:64], y[:64])
 
 
+def table_digest(tables) -> str:
+    return hashlib.sha256(json.dumps(tables, default=float).encode()).hexdigest()
+
+
+def predict_and_protocol_items():
+    rng = np.random.default_rng(SEED)
+    modes = (network.Deterministic(), network.MomentPropagation(),
+             network.MCSample(MC_SAMPLES, seed=SEED))
+    cnn = held_out_cnn()
+    ind, ood = held_out_images()
+    test = np.concatenate([ind.test_xy()[0], ood.test_xy()[0]])
+    inputs = {
+        "toy-mlp 2048 rows": (toy_mlp(), np.sort(rng.uniform(-3.0, 3.0, 2048))[:, None]),
+        "held-out-cnn 32 images": (cnn, test[rng.permutation(len(test))[:32]]),
+    }
+    for name, (model, x) in inputs.items():
+        for mode in modes:
+            pred = network.predict(model, x, mode)
+            yield f"predict {type(mode).__name__} {name}", digest(*vars(pred).values())
+
+    setup = experiments.build_ood_setup(
+        seeds=(SEED,), ensemble_size=2, n_per_class=40, epochs=2,
+        conv_channels=(4,), dense_units=(16,),
+    )
+    yield "run_ood_experiment tiny", table_digest(
+        experiments.run_ood_experiment(setup=setup, t=4).tables)
+    yield "run_filter_experiment tiny", table_digest(
+        experiments.run_filter_experiment(setup=setup, t=4).tables)
+    yield "auc_vs_t_rows tiny", table_digest(experiments.auc_vs_t_rows(
+        setup.members[SEED][0], setup, t_list=(1, 3), repeats=4, seed=SEED))
+
+
 def main():
-    overall = hashlib.sha256()
-    for name, hexdigest in items():
-        line = f"{hexdigest}  {name}"
-        print(line, flush=True)
-        overall.update(line.encode() + b"\n")
-    print(f"{overall.hexdigest()}  all")
+    for group, label in ((items(), "all"), (predict_and_protocol_items(), "all predict and protocols")):
+        overall = hashlib.sha256()
+        for name, hexdigest in group:
+            line = f"{hexdigest}  {name}"
+            print(line, flush=True)
+            overall.update(line.encode() + b"\n")
+        print(f"{overall.hexdigest()}  {label}", flush=True)
 
 
 if __name__ == "__main__":

@@ -244,6 +244,20 @@ class TestPredictCommand:
         assert result.exit_code == 3
         assert "in_dim" in result.output and "Traceback" not in result.output
 
+    def test_deeply_nested_manifest_is_data_error(self, runner, mlp3_path, tmp_path):
+        # a checksum-valid file whose manifest nests deeper than the JSON parser recurses
+        raw = mlp3_path.read_bytes()
+        old_len = int(np.frombuffer(raw, "<u8", 1, 12)[0])
+        mbytes = b"[" * 100_000 + b"]" * 100_000
+        body = raw[:12] + np.uint64(len(mbytes)).tobytes() + mbytes + raw[20 + old_len : -4]
+        bad = tmp_path / "deep.mpmdl"
+        bad.write_bytes(body + np.uint32(zlib.crc32(body) & 0xFFFFFFFF).tobytes())
+        xs = tmp_path / "x.npy"
+        np.save(xs, np.zeros((1, 3)))
+        result = runner.invoke(cli, ["predict", str(bad), "--input", str(xs)])
+        assert result.exit_code == 3, result.output
+        assert "manifest" in result.output and "Traceback" not in result.output
+
 
 class TestNonFiniteInputs:
     """predict and compare refuse NaN, inf and non-numeric input rows (exit
@@ -282,6 +296,22 @@ def mlp3_path(tmp_path):
     path = tmp_path / "mlp3.mpmdl"
     mp.save_model(mp.mlp_regression(3, hidden=(8,), seed=0), path)
     return path
+
+
+class TestNonFiniteOutputs:
+    """A finite input that overflows the forward to NaN or inf is a numeric
+    failure (exit 4) in every mode, with no predictions written."""
+
+    @pytest.mark.parametrize("mode", ["det", "mp", "mc"])
+    def test_overflow_is_numeric_failure(self, runner, mlp3_path, tmp_path, mode):
+        npy = tmp_path / "x.npy"
+        np.save(npy, np.array([[1e308, 1e308, 1e308], [0.1, 0.2, 0.3]]))
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["--out", str(out), "predict", str(mlp3_path),
+                                     "--input", str(npy), "--mode", mode, "--t", "8"])
+        assert result.exit_code == 4, result.output
+        assert "NaN or inf" in result.output and "Traceback" not in result.output
+        assert not (out / "predictions.csv").exists()
 
 
 class TestInputShapes:

@@ -249,6 +249,15 @@ class TestPredict:
         assert np.all(pred.entropy() >= 0.0)
         assert np.all(pred.one_minus_max() <= 1 - 1 / 3 + 1e-12)
 
+    @pytest.mark.parametrize("model", [small_regressor(), small_classifier()],
+                             ids=["regression", "classification"])
+    def test_overflow_is_floating_point_error(self, model):
+        # finite inputs can overflow: no NaN or inf prediction, and no RuntimeWarning
+        x = np.full((2,) + model.input_shape, 1e308)
+        for mode in (mp.Deterministic(), mp.MomentPropagation(), mp.MCSample(8, seed=0)):
+            with pytest.raises(FloatingPointError, match=type(mode).__name__):
+                mp.predict(model, x, mode)
+
     def test_categorical_validation(self):
         with pytest.raises(ValueError):
             mp.CategoricalPrediction(np.array([0.7, 0.7]))
