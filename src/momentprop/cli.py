@@ -27,7 +27,6 @@ from .data import (
     ood_partition,
     standardize_regression,
 )
-from .metrics import entropy, one_minus_max
 from .network import (
     MODEL_FILE_EXTENSION,
     Deterministic,
@@ -74,11 +73,36 @@ def _load_json(path) -> dict:
         cfg = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DataError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DataError(f"config {path} is not a JSON object")
     return cfg
+
+
+def _int_list(least: int):
+    """The click callback that reads an option's comma-separated integers,
+    each at least ``least``, as a tuple."""
+    def parse(ctx, param, value):
+        try:
+            items = tuple(int(s) for s in value.split(","))
+        except ValueError:
+            raise click.BadParameter(
+                f"{value!r} is not a comma-separated list of integers") from None
+        if min(items) < least:
+            raise click.BadParameter(f"{value!r} holds an integer below {least}")
+        return items
+    return parse
+
+
+_COUNT = click.IntRange(min=1)
+
+
+def _check_mc_samples(model, t: int) -> None:
+    """A regression model's MC variance needs two passes; a classifier's
+    probabilities take one."""
+    if model.task == "regression" and t < 2:
+        raise DataError(f"--t {t}: a regression model's MC variance needs --t >= 2")
 
 
 def _resolve_out(ctx_obj, experiment: str) -> Path:
@@ -214,9 +238,10 @@ def _read_inputs(path, model) -> np.ndarray:
 
 
 @click.group(cls=_MappedGroup)
-@click.option("--seed", type=int, default=0, show_default=True, help="Base RNG seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Base RNG seed.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=_COUNT, default=1, show_default=True,
               help="Worker threads for independent runs.")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON config file with experiment overrides.")
@@ -271,12 +296,13 @@ def _train_run(obj, cfg, name, seed, dataset, model, train, model_out):
               help=".npy or .csv batch of inputs.")
 @click.option("--dataset-config", type=click.Path(), default=None,
               help="Dataset JSON; the test split is compared.")
-@click.option("--t", type=int, default=1000, show_default=True)
-@click.option("--limit", type=int, default=200, show_default=True)
+@click.option("--t", type=_COUNT, default=1000, show_default=True)
+@click.option("--limit", type=_COUNT, default=200, show_default=True)
 @click.pass_obj
 def cmd_compare(obj, model_path, input_path, dataset_config, t, limit):
     """Per-example propagated moments vs T-sample estimates."""
     model = load_model(model_path)
+    _check_mc_samples(model, t)
     if input_path:
         x = _read_inputs(input_path, model)
     elif dataset_config:
@@ -312,9 +338,9 @@ def _run_experiment(obj, section: str, run, options: dict, *forwards_to, aliases
 
 
 @cmd_experiment.command("toy")
-@click.option("--t", type=int, default=10000, show_default=True)
-@click.option("--epochs", type=int, default=2000, show_default=True)
-@click.option("--n", type=int, default=1536, show_default=True)
+@click.option("--t", type=_COUNT, default=10000, show_default=True)
+@click.option("--epochs", type=_COUNT, default=2000, show_default=True)
+@click.option("--n", type=_COUNT, default=1536, show_default=True)
 @click.pass_obj
 def cmd_toy(obj, t, epochs, n):
     _run_experiment(obj, "toy", experiments.run_toy_experiment,
@@ -325,8 +351,8 @@ def cmd_toy(obj, t, epochs, n):
 @cmd_experiment.command("uci")
 @click.option("--csv", "csv_paths", multiple=True,
               help="CSV spec as path:target_column[:name]; repeatable.")
-@click.option("--t", type=int, default=1000, show_default=True)
-@click.option("--epochs", type=int, default=200, show_default=True)
+@click.option("--t", type=_COUNT, default=1000, show_default=True)
+@click.option("--epochs", type=_COUNT, default=200, show_default=True)
 @click.pass_obj
 def cmd_uci(obj, csv_paths, t, epochs):
     def entry(spec):
@@ -357,22 +383,21 @@ def cmd_uci(obj, csv_paths, t, epochs):
 
 
 @cmd_experiment.command("ood")
-@click.option("--seeds", type=str, default="0", show_default=True,
+@click.option("--seeds", default="0", callback=_int_list(0), show_default=True,
               help="Comma-separated experiment seeds.")
-@click.option("--ensemble", type=int, default=5, show_default=True)
-@click.option("--t", type=int, default=50, show_default=True)
+@click.option("--ensemble", type=_COUNT, default=5, show_default=True)
+@click.option("--t", type=_COUNT, default=50, show_default=True)
 @click.pass_obj
 def cmd_ood(obj, seeds, ensemble, t):
-    seed_list = tuple(int(s) for s in seeds.split(","))
     _run_experiment(obj, "ood", experiments.run_ood_experiment,
-                    {"seeds": seed_list, "ensemble_size": ensemble, "t": t,
+                    {"seeds": seeds, "ensemble_size": ensemble, "t": t,
                      "threads": obj["threads"]},
                     experiments.build_ood_setup, aliases={"ensemble": "ensemble_size"})
 
 
 @cmd_experiment.command("filter")
-@click.option("--t", type=int, default=50, show_default=True)
-@click.option("--ensemble", type=int, default=5, show_default=True)
+@click.option("--t", type=_COUNT, default=50, show_default=True)
+@click.option("--ensemble", type=_COUNT, default=5, show_default=True)
 @click.option("--kind", type=click.Choice(["entropy", "one_minus_max"]), default="entropy")
 @click.pass_obj
 def cmd_filter(obj, t, ensemble, kind):
@@ -383,13 +408,13 @@ def cmd_filter(obj, t, ensemble, kind):
 
 
 @cmd_experiment.command("auc-vs-t")
-@click.option("--t-list", type=str, default="1,2,5,10,20,30,50", show_default=True)
-@click.option("--repeats", type=int, default=20, show_default=True)
+@click.option("--t-list", default="1,2,5,10,20,30,50", show_default=True,
+              callback=_int_list(1))
+@click.option("--repeats", type=_COUNT, default=20, show_default=True)
 @click.pass_obj
 def cmd_auc_vs_t(obj, t_list, repeats):
-    ts = tuple(int(s) for s in t_list.split(","))
     _run_experiment(obj, "auc_vs_t", experiments.run_auc_vs_t_experiment,
-                    {"t_list": ts, "repeats": repeats, "seed": obj["seed"],
+                    {"t_list": t_list, "repeats": repeats, "seed": obj["seed"],
                      "seeds": (obj["seed"],), "ensemble_size": 1, "threads": obj["threads"]},
                     experiments.build_ood_setup)
 
@@ -397,17 +422,16 @@ def cmd_auc_vs_t(obj, t_list, repeats):
 @cli.command("benchmark")
 @click.option("--model", "model_path", type=click.Path(), default=None,
               help="Model file; defaults to the untrained reference net.")
-@click.option("--batch", type=int, default=32, show_default=True)
-@click.option("--t-list", type=str, default="10,30", show_default=True)
-@click.option("--repeats", type=int, default=5, show_default=True)
+@click.option("--batch", type=_COUNT, default=32, show_default=True)
+@click.option("--t-list", default="10,30", show_default=True, callback=_int_list(1))
+@click.option("--repeats", type=_COUNT, default=5, show_default=True)
 @click.pass_obj
 def cmd_benchmark(obj, model_path, batch, t_list, repeats):
     """Wall-clock comparison of the three forward modes."""
     model = load_model(model_path) if model_path else experiments.reference_cnn()
     rng = np.random.default_rng(obj["seed"])
     x = rng.standard_normal((batch,) + model.input_shape)
-    ts = tuple(int(s) for s in t_list.split(","))
-    report = experiments.run_benchmark(model, x, t_list=ts, repeats=repeats, seed=obj["seed"])
+    report = experiments.run_benchmark(model, x, t_list=t_list, repeats=repeats, seed=obj["seed"])
     _finish(report, obj, "benchmark")
     for row in report.tables["ratios"]:
         click.echo(
@@ -420,11 +444,13 @@ def cmd_benchmark(obj, model_path, batch, t_list, repeats):
 @click.argument("model_path", type=click.Path())
 @click.option("--input", "input_path", type=click.Path(), required=True)
 @click.option("--mode", type=click.Choice(["det", "mc", "mp"]), default="mp", show_default=True)
-@click.option("--t", type=int, default=100, show_default=True)
+@click.option("--t", type=_COUNT, default=100, show_default=True)
 @click.pass_obj
 def cmd_predict(obj, model_path, input_path, mode, t):
     """Predictive distribution for a batch of inputs."""
     model = load_model(model_path)
+    if mode == "mc":
+        _check_mc_samples(model, t)
     x = _read_inputs(input_path, model)
     modes = {"det": Deterministic, "mc": lambda: MCSample(t, obj["seed"]), "mp": MomentPropagation}
     pred = predict(model, x, modes[mode]())
@@ -437,10 +463,10 @@ def cmd_predict(obj, model_path, input_path, mode, t):
                 "total_variance": total[i],
             })
     else:
-        probs = pred.probs
+        probs, ent, omm = pred.probs, pred.entropy(), pred.one_minus_max()
         for i in range(len(x)):
             row = {"example": i, "predicted_class": int(probs[i].argmax()),
-                   "entropy": entropy(probs[i]), "one_minus_max": one_minus_max(probs[i])}
+                   "entropy": ent[i], "one_minus_max": omm[i]}
             row.update({f"p{k}": probs[i, k] for k in range(probs.shape[1])})
             rows.append(row)
     report = experiments.ExperimentReport(

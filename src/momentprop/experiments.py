@@ -117,12 +117,11 @@ def _parallel_map(fn, items, threads: int = 1):
 def run_compare(model: ModelSpec, x, t: int = 1000, seed: int = 0) -> ExperimentReport:
     """Tabulate propagated (E, V) against T-sample estimates per example."""
     x = np.asarray(x, dtype=np.float64)
-    batch = mc_forward(model, x, t, seed=seed)
-    est = batch.moments()
+    mp = predict(model, x, MomentPropagation())
     rows = []
     if model.task == "regression":
-        mt = forward_mp(model, x)
-        e_mp, v_mp = mt.expectation[..., 0], mt.variance[..., 0]
+        est = mc_forward(model, x, t, seed=seed).moments()
+        e_mp, v_mp = mp.mean, mp.variance
         mean_mc, var_mc = est.mean[..., 0], est.variance[..., 0]
         se_mc = est.standard_error_mean[..., 0]
         for i in range(len(x)):
@@ -147,16 +146,16 @@ def run_compare(model: ModelSpec, x, t: int = 1000, seed: int = 0) -> Experiment
             "max_abs_diff": float(max(r["abs_diff"] for r in rows)),
         }]
     else:
-        probs_mp = forward_mp(model, x)
-        probs_mc = batch.outputs.mean(axis=0)
+        mc = predict(model, x, MCSample(t, seed))
+        ent_mp, ent_mc = mp.entropy(), mc.entropy()
         for i in range(len(x)):
-            diff = np.abs(probs_mp[i] - probs_mc[i])
+            diff = np.abs(mp.probs[i] - mc.probs[i])
             rows.append(
                 {
                     "example": i,
                     "max_abs_prob_diff": float(diff.max()),
-                    "entropy_mp": metrics.entropy(probs_mp[i]),
-                    "entropy_mc": metrics.entropy(probs_mc[i]),
+                    "entropy_mp": ent_mp[i],
+                    "entropy_mc": ent_mc[i],
                 }
             )
         summary = [{
@@ -213,11 +212,11 @@ def toy_curves(model: ModelSpec, data: Dataset, t: int = 10_000, seed: int = 0) 
     """Per-grid-point comparison of the three inference modes (original units)."""
     x_test, _ = data.test_xy()
     rec = data.standardization
-    det = forward_det(model, x_test)[:, 0]
-    mt = forward_mp(model, x_test)
+    det = predict(model, x_test).mean
+    mp = predict(model, x_test, MomentPropagation())
     est = mc_forward(model, x_test, t, seed=seed).moments()
     det_o, _ = destandardize_mean_var(rec, det, np.zeros_like(det))
-    mp_mean, mp_var = destandardize_mean_var(rec, mt.expectation[:, 0], mt.variance[:, 0])
+    mp_mean, mp_var = destandardize_mean_var(rec, mp.mean, mp.variance)
     mc_mean, mc_var = destandardize_mean_var(rec, est.mean[:, 0], est.variance[:, 0])
     _, mc_se_sq = destandardize_mean_var(
         rec, np.zeros_like(det), np.square(est.standard_error_mean[:, 0])
@@ -284,7 +283,7 @@ def uci_run(
         return mlp_regression(in_dim, hidden=hidden, dropout_rate=p_star, seed=seed, tau=1.0)
 
     result = grid_search_uci(build, data, p_grid, tau_grid, cfg)
-    model, _ = train(build(result.p_star), data, cfg)
+    model = result.model
     x_test, y_test_std = data.test_xy()
     rec = data.standardization
     y_test = rec.target_mean + rec.target_std * y_test_std
@@ -297,8 +296,8 @@ def uci_run(
         return metrics.score_regression_mc(mu, tau_orig, y_test)
 
     def eval_mp():
-        mt = forward_mp(model, x_test)
-        mean, var = destandardize_mean_var(rec, mt.expectation[:, 0], mt.variance[:, 0])
+        pred = predict(model, x_test, MomentPropagation())
+        mean, var = destandardize_mean_var(rec, pred.mean, pred.variance)
         return metrics.score_regression_mp(mean, var, tau_orig, y_test)
 
     score_mc, rt_mc = _timed_with_median(eval_mc, timing_repeats)
@@ -560,8 +559,8 @@ def auc_vs_t_rows(
         x_ood = x_ood[rng.choice(len(x_ood), max_per_side, replace=False)]
     x = np.concatenate([x_ind, x_ood])
     labels = np.r_[np.zeros(len(x_ind)), np.ones(len(x_ood))]
-    auc_nn = metrics.roc_auc(metrics.entropy(forward_det(model, x)), labels).auc
-    auc_mp = metrics.roc_auc(metrics.entropy(forward_mp(model, x)), labels).auc
+    auc_nn = metrics.roc_auc(predict(model, x).entropy(), labels).auc
+    auc_mp = metrics.roc_auc(predict(model, x, MomentPropagation()).entropy(), labels).auc
     t_max = max(t_list)
     rows = []
     for rep in range(repeats):

@@ -401,6 +401,7 @@ class GridSearchResult:
     p_star: float
     tau: float
     entries: tuple[dict, ...]  # one dict per (p_star, tau) with its val NLL
+    model: ModelSpec  # the model trained at p_star
 
 
 def grid_search_uci(
@@ -415,18 +416,19 @@ def grid_search_uci(
     build_model(p_star) must return a fresh untrained model.  Training does
     not depend on tau, so each dropout rate is trained once and scored across
     the tau grid; ties break toward the smaller rate, then the smaller tau.
+    The result carries the model trained at the chosen rate.
     """
     if any(t <= 0 for t in tau_grid):
         raise ValueError("tau grid must be positive")
     x_val, y_val = data.val_xy()
-    entries = []
+    entries, models = [], {}
     for p_star in p_grid:
         model, _ = train(build_model(p_star), data, cfg)
+        models[float(p_star)] = model
         pred = predict(model, x_val, MomentPropagation())
         for tau in tau_grid:
             nll = float(np.mean(regression_nll_mp(pred.mean, pred.variance, tau, y_val)))
             entries.append({"p_star": float(p_star), "tau": float(tau), "val_nll": nll})
     best = min(entries, key=lambda e: (e["val_nll"], e["p_star"], e["tau"]))
-    return GridSearchResult(
-        p_star=best["p_star"], tau=best["tau"], entries=tuple(entries)
-    )
+    return GridSearchResult(p_star=best["p_star"], tau=best["tau"], entries=tuple(entries),
+                            model=models[best["p_star"]])

@@ -4,7 +4,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/digests.py
 
-It prints one ``<sha256>  <item>`` line per item, in two groups, each
+It prints one ``<sha256>  <item>`` line per item, in three groups, each
 followed by one line over the group's lines.  A change that promises
 bitwise-unchanged outputs prints the same lines before and after it.
 pytest does not collect this file.
@@ -33,6 +33,14 @@ The second group, whose last line is ``all predict and protocols``:
 * the tables of ``run_ood_experiment``, ``run_filter_experiment`` and
   ``auc_vs_t_rows`` on a tiny held-out-class set-up, an ensemble of 2
   members, as JSON with every float at full precision.
+
+The third group, whose last line is ``all compare, toy and uci``:
+
+* the tables of ``run_compare`` (T=30) on the toy MLP at 64 rows and on the
+  held-out-class CNN on 32 test images;
+* ``toy_curves`` (T=30) of a small untrained MLP on the toy data;
+* one ``uci_run`` row on 300 toy-data rows (2 epochs), without its
+  ``rt_*`` timing columns.
 """
 
 from __future__ import annotations
@@ -186,8 +194,33 @@ def predict_and_protocol_items():
         setup.members[SEED][0], setup, t_list=(1, 3), repeats=4, seed=SEED))
 
 
+def compare_toy_and_uci_items():
+    rng = np.random.default_rng(SEED)
+    cnn = held_out_cnn()
+    ind, ood = held_out_images()
+    test = np.concatenate([ind.test_xy()[0], ood.test_xy()[0]])
+    inputs = {
+        "toy-mlp 64 rows": (toy_mlp(), rng.uniform(-3.0, 3.0, (64, 1))),
+        "held-out-cnn 32 images": (cnn, test[rng.permutation(len(test))[:32]]),
+    }
+    for name, (model, x) in inputs.items():
+        yield f"run_compare {name}", table_digest(
+            experiments.run_compare(model, x, t=MC_SAMPLES, seed=SEED).tables)
+
+    toy = data.standardize_regression(data.gen_toy_regression(300, seed=SEED))
+    small = network.mlp_regression(1, hidden=(16, 16), dropout_rate=0.3, seed=SEED, tau=100.0)
+    yield "toy_curves small-mlp", table_digest(
+        experiments.toy_curves(small, toy, t=MC_SAMPLES, seed=SEED))
+    row = experiments.uci_run("toy", toy, hidden=(8,), epochs=2, t_mc=MC_SAMPLES, seed=SEED)
+    yield "uci_run toy 300 rows without rt_*", table_digest(
+        {k: v for k, v in row.items() if not k.startswith("rt_")})
+
+
 def main():
-    for group, label in ((items(), "all"), (predict_and_protocol_items(), "all predict and protocols")):
+    groups = ((items(), "all"),
+              (predict_and_protocol_items(), "all predict and protocols"),
+              (compare_toy_and_uci_items(), "all compare, toy and uci"))
+    for group, label in groups:
         overall = hashlib.sha256()
         for name, hexdigest in group:
             line = f"{hexdigest}  {name}"

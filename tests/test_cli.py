@@ -313,6 +313,48 @@ class TestNonFiniteOutputs:
         assert "NaN or inf" in result.output and "Traceback" not in result.output
         assert not (out / "predictions.csv").exists()
 
+    def test_compare_overflow_is_numeric_failure(self, runner, mlp3_path, tmp_path):
+        npy = tmp_path / "x.npy"
+        np.save(npy, np.array([[1e308, 1e308, 1e308], [0.1, 0.2, 0.3]]))
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["--out", str(out), "compare", str(mlp3_path),
+                                     "--input", str(npy), "--t", "8"])
+        assert result.exit_code == 4, result.output
+        assert "NaN or inf" in result.output and "Traceback" not in result.output
+        assert not (out / "per_example.csv").exists()
+
+
+class TestBadFlags:
+    """A command-line value below an option's bound, or a list that does not
+    parse, is a usage error (exit 2) before any work runs; an MC sample count
+    of 1 for a regression model, whose MC variance needs two passes, is a
+    data error (exit 3) that names --t."""
+
+    @pytest.mark.parametrize("args, code, names", [
+        (["predict", "{mlp3}", "--input", "{x}", "--mode", "mc", "--t", "0"], 2, "--t"),
+        (["compare", "{mlp3}", "--input", "{x}", "--t", "0"], 2, "--t"),
+        (["predict", "{mlp3}", "--input", "{x}", "--mode", "mc", "--t", "1"], 3, "--t"),
+        (["compare", "{mlp3}", "--input", "{x}", "--t", "1"], 3, "--t"),
+        (["compare", "{mlp3}", "--input", "{x}", "--limit", "0"], 2, "--limit"),
+        (["compare", "{mlp3}", "--input", "{x}", "--limit", "-1", "--t", "4"], 2, "--limit"),
+        (["benchmark", "--t-list", "abc"], 2, "--t-list"),
+        (["benchmark", "--t-list", "0"], 2, "--t-list"),
+        (["benchmark", "--batch", "0"], 2, "--batch"),
+        (["experiment", "ood", "--seeds", "a"], 2, "--seeds"),
+        (["experiment", "auc-vs-t", "--t-list", "0,2"], 2, "--t-list"),
+    ], ids=["predict-t0", "compare-t0", "predict-t1-regression", "compare-t1-regression",
+            "compare-limit0", "compare-limit-negative", "benchmark-t-list-abc",
+            "benchmark-t-list0", "benchmark-batch0", "ood-seeds-a", "auc-vs-t-t-list0"])
+    def test_bad_flag_value(self, runner, mlp3_path, tmp_path, args, code, names):
+        npy = tmp_path / "x.npy"
+        np.save(npy, np.zeros((3, 3)))
+        args = [a.format(mlp3=mlp3_path, x=npy) for a in args]
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["--out", str(out), *args])
+        assert result.exit_code == code, result.output
+        assert names in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
 
 class TestInputShapes:
     """predict and compare read a lone example as a batch of one; inputs of
@@ -468,6 +510,15 @@ class TestExperimentCommands:
             result = runner.invoke(cli, ["--out", str(tmp_path / "run"), *args])
             assert result.exit_code == 3, result.output
             assert "is not a JSON object" in result.output
+
+    def test_deeply_nested_config_is_data_error(self, runner, tmp_path):
+        # nests deeper than the JSON parser recurses
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        result = runner.invoke(cli, ["--out", str(tmp_path / "run"), "--config", str(cfg),
+                                     "experiment", "toy"])
+        assert result.exit_code == 3, result.output
+        assert "is not valid JSON" in result.output and "Traceback" not in result.output
 
     def test_diverged_experiment_training_is_numeric_failure(self, runner, tmp_path):
         over = {"toy": {"epochs": 30, "t": 10, "n": 64, "hidden": [8], "batch_size": 32,

@@ -615,6 +615,16 @@ class TestGridSearch:
         best = min(result.entries, key=lambda e: (e["val_nll"], e["p_star"], e["tau"]))
         assert (result.p_star, result.tau) == (best["p_star"], best["tau"])
 
+    def test_result_carries_the_model_trained_at_p_star(self):
+        data = self.make_data(seed=2)
+        cfg = TrainConfig(epochs=5, loss="mse", early_stopping=None, lr_reduction=None, seed=0)
+        result = grid_search_uci(self.builder(), data, (0.01, 0.2), (2.0,), cfg)
+        retrained, _ = train(self.builder()(result.p_star), data, cfg)
+        for got, want in zip(extract_params(result.model), extract_params(retrained)):
+            assert got.keys() == want.keys()
+            for k in got:
+                np.testing.assert_array_equal(got[k], want[k])
+
     def test_recovers_noise_precision(self):
         """The tau closest to the generating precision should win in most
         seeds, within one grid step."""
