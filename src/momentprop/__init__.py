@@ -62,7 +62,6 @@ from .training import (
 from .metrics import (
     RegressionScore,
     RocResult,
-    UncertaintyScore,
     ensemble_combine,
     entropy,
     filter_curve,
@@ -76,7 +75,6 @@ from .metrics import (
 from .data import (
     DataError,
     Dataset,
-    OodSplit,
     gen_synthetic_images,
     gen_toy_regression,
     load_cifar10,

@@ -391,23 +391,6 @@ def gen_synthetic_images(
     )
 
 
-@dataclass(frozen=True)
-class OodSplit:
-    """Disjoint in-distribution / held-out class sets over one label space."""
-
-    ind_classes: tuple[int, ...]
-    ood_classes: tuple[int, ...]
-
-    def __post_init__(self):
-        ind, ood = set(self.ind_classes), set(self.ood_classes)
-        if not ind or not ood:
-            raise ValueError("both class sets must be nonempty")
-        if ind & ood:
-            raise ValueError("class sets must be disjoint")
-        object.__setattr__(self, "ind_classes", tuple(sorted(ind)))
-        object.__setattr__(self, "ood_classes", tuple(sorted(ood)))
-
-
 def ood_partition(data: Dataset, ind_classes) -> tuple[Dataset, Dataset]:
     """Split a classification dataset into in-distribution classes (relabeled
     0..len(ind)-1) and held-out classes (targets set to -1)."""
@@ -420,7 +403,6 @@ def ood_partition(data: Dataset, ind_classes) -> tuple[Dataset, Dataset]:
         raise ValueError(f"ind_classes out of range 0..{data.n_classes - 1}")
     if len(ind) == data.n_classes:
         raise ValueError("ind_classes covers every class; nothing is held out")
-    OodSplit(tuple(ind), tuple(c for c in range(data.n_classes) if c not in ind))
     relabel = {c: i for i, c in enumerate(ind)}
     mask = np.isin(data.targets, ind)
     ind_ds = Dataset(

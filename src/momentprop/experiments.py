@@ -3,7 +3,8 @@ benchmark-table runs on regression CSVs, the held-out-class detection study,
 filter curves, the AUC-versus-sample-count sweep, and runtime benchmarks.
 
 Every reported number comes from an operation in ``metrics``; runtimes are
-measured around forward calls only and over at least three repeats.
+measured around forward calls only, over at least three repeats, except the
+toy protocol's one call of ``toy_curves`` and the training wall times.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .network import (
     MCSample,
     ModelSpec,
     MomentPropagation,
+    _check_samples,
     cnn_classifier,
     forward_det,
     forward_mp,
@@ -242,7 +244,9 @@ def run_toy_experiment(
     t: int = 10_000, seed: int = 0, epochs: int = 2000, n: int = 1536, **train_kw
 ) -> ExperimentReport:
     model, data, train_report = train_toy_model(n=n, epochs=epochs, seed=seed, **train_kw)
-    rows, timing = _timed_with_median(lambda: toy_curves(model, data, t=t, seed=seed), 3)
+    started = time.perf_counter()
+    rows = toy_curves(model, data, t=t, seed=seed)
+    curve_s = time.perf_counter() - started
     config = {
         "t": t, "seed": seed, "epochs": epochs, "n": n,
         "hidden": list(train_kw.get("hidden", (256, 256, 256))),
@@ -253,7 +257,7 @@ def run_toy_experiment(
         config=config,
         tables={"curves": rows},
         runtimes={
-            "curve_evaluation": timing,
+            "curve_evaluation": {"mean_s": curve_s, "se_s": 0.0, "repeats": 1},
             "training": {"mean_s": train_report.wall_clock_seconds, "se_s": 0.0, "repeats": 1},
         },
     )
@@ -374,6 +378,10 @@ def build_ood_setup(
 ) -> OodSetup:
     """Generate the image benchmark, hold out half the classes, and train one
     ensemble of classifiers per experiment seed on the in-distribution part."""
+    if not seeds:
+        raise ValueError("seeds must name at least one experiment seed")
+    if ensemble_size < 1:
+        raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
     data = gen_synthetic_images(
         n_per_class, n_classes=n_classes, size=image_size,
         seed=data_seed, split_fractions=split_fractions,
@@ -478,14 +486,11 @@ def run_ood_experiment(
     seeds=(0,),
     ensemble_size: int = 5,
     t: int = 50,
-    threads: int = 1,
     setup: OodSetup | None = None,
     **setup_kw,
 ) -> ExperimentReport:
     if setup is None:
-        setup = build_ood_setup(
-            seeds=seeds, ensemble_size=ensemble_size, threads=threads, **setup_kw
-        )
+        setup = build_ood_setup(seeds=seeds, ensemble_size=ensemble_size, **setup_kw)
     per_seed = [_ood_seed(setup, seed, t) for seed in setup.members]
     rows = [row for row, _ in per_seed]
     ent_rows = []
@@ -511,13 +516,12 @@ def run_filter_experiment(
     setup: OodSetup | None = None,
     t: int = 50,
     kind: str = "entropy",
-    threads: int = 1,
     **setup_kw,
 ) -> ExperimentReport:
     """Sort test predictions by uncertainty and report prefix accuracies for
     every method, using the in-distribution test split."""
     if setup is None:
-        setup = build_ood_setup(threads=threads, **setup_kw)
+        setup = build_ood_setup(**setup_kw)
     seed0 = next(iter(setup.members))
     models = setup.members[seed0]
     x, y = setup.ind_data.test_xy()
@@ -550,6 +554,14 @@ def auc_vs_t_rows(
 ) -> tuple[list[dict], dict]:
     """AUC of the sampling method at each T (prefix-nested within a repeat),
     plus the fixed deterministic and propagated baselines."""
+    if not t_list:
+        raise ValueError("t_list must hold at least one sample count")
+    try:
+        t_list = [_check_samples(t) for t in t_list]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"t_list: {exc}") from None
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     x_ind, _ = setup.ind_data.test_xy()
     x_ood, _ = setup.ood_data.test_xy()
@@ -579,11 +591,10 @@ def run_auc_vs_t_experiment(
     repeats: int = 20,
     seed: int = 0,
     setup: OodSetup | None = None,
-    threads: int = 1,
     **setup_kw,
 ) -> ExperimentReport:
     if setup is None:
-        setup = build_ood_setup(threads=threads, **setup_kw)
+        setup = build_ood_setup(**setup_kw)
     seed0 = next(iter(setup.members))
     model = setup.members[seed0][0]
     rows, baselines = auc_vs_t_rows(model, setup, t_list=t_list, repeats=repeats, seed=seed)

@@ -64,12 +64,18 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _NEG_INV_SQRT2 = -1.0 / np.sqrt(2.0)
 
 
-def _cdf_inplace(x):
-    """0.5*erfc(-x/sqrt(2)) evaluated in place; consumes and returns x."""
-    x *= _NEG_INV_SQRT2
-    special.erfc(x, out=x)
-    x *= 0.5
-    return x
+def _gauss_terms(z, scale):
+    """``(scale*phi(z), Phi(z))`` with Phi(z) = 0.5*erfc(-z/sqrt(2)), built
+    in place; consumes z."""
+    spread = np.square(z)
+    spread *= -0.5
+    np.exp(spread, out=spread)
+    spread *= scale
+    spread *= _INV_SQRT_2PI
+    z *= _NEG_INV_SQRT2
+    special.erfc(z, out=z)
+    z *= 0.5
+    return spread, z
 
 
 _clamp_state = threading.local()
@@ -515,14 +521,7 @@ def _relu_arrays(e, v):
     any_det = det is not None
     v_safe = np.where(det, 1.0, v) if any_det else v
     s = np.sqrt(v_safe)
-    r = e / s
-    # s*phi(r), built in place
-    spread = np.square(r)
-    spread *= -0.5
-    np.exp(spread, out=spread)
-    spread *= s
-    spread *= _INV_SQRT_2PI
-    cdf = _cdf_inplace(r)  # consumes r
+    spread, cdf = _gauss_terms(e / s, s)
     e_out = e * cdf
     e_out += spread
     # (E^2+V)*Phi + E*s*phi - E'^2
@@ -567,16 +566,9 @@ def _max_pair_arrays(e1, v1, e2, v2):
     any_deg = deg is not None
     theta = np.sqrt(np.where(deg, 1.0, t2) if any_deg else t2, dtype=np.float64)
     diff = e1 - e2
-    a = diff / theta
-    # theta*phi(a), built in place
-    spread = np.square(a)
-    spread *= -0.5
-    np.exp(spread, out=spread)
-    spread *= theta
-    spread *= _INV_SQRT_2PI
-    cdf = _cdf_inplace(a)  # consumes a
-    # e1*Phi(a) + e2*Phi(-a) via Phi(-a) = 1 - Phi(a); the ~1 ulp tail
-    # rounding this introduces is far below the moment tolerances
+    spread, cdf = _gauss_terms(diff / theta, theta)
+    # e1*Phi(a) + e2*Phi(-a), a = diff/theta, via Phi(-a) = 1 - Phi(a); the
+    # ~1 ulp tail rounding this introduces is far below the moment tolerances
     mean = diff * cdf
     mean += e2
     mean += spread

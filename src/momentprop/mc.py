@@ -31,7 +31,8 @@ from .layers import DropoutSpec, dropout_sample
 
 # SeedSequence's hash, O'Neill's seed_seq_fe (numpy.random.bit_generator):
 # 32-bit words, a 4-word pool, one multiplier sequence for mixing entropy in
-# and one for drawing words out.
+# and one for drawing words out.  Numpy mixes the seed in; the spawn-key words
+# and the output hash are repeated here, vectorized over many keys.
 _MASK32 = 0xFFFFFFFF
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -68,31 +69,13 @@ _OUT_WORDS = np.arange(2 * _POOL) % _POOL  # generate_state cycles through the p
 
 
 def _seed_pool(seed: int):
-    """The pool after mixing in the seed's 32-bit words (zero-padded to the
-    pool size, as SeedSequence pads when a spawn key follows), and the
-    hash's constants for the words mixed in after them."""
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    consts = _constants(_INIT_A, _MULT_A)
-
-    def hashmix(value):
-        xor, mul = next(consts)
-        value = (value ^ xor) * mul & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return np.array(pool, np.uint32), consts
+    """The pool after numpy's ``SeedSequence`` mixes in the seed's 32-bit
+    words, and the hash's constants for the words mixed in after them: numpy
+    used one per word it hashed, 16 for the first four seed words (zero-padded)
+    and four for each seed word past the fourth."""
+    n_words = max(-(-seed.bit_length() // 32), _POOL)
+    consts = itertools.islice(_constants(_INIT_A, _MULT_A), _POOL * n_words, None)
+    return np.random.SeedSequence(seed).pool, consts
 
 
 def _mix_in(pool, words, consts):
@@ -118,7 +101,7 @@ def stream_keys(seed: int, samples, layers) -> np.ndarray:
     Entry ``[a, b]`` of the ``(len(samples), len(layers), 4)`` uint64 result
     equals ``np.random.SeedSequence(entropy=seed, spawn_key=(samples[a],
     layers[b])).generate_state(4, np.uint64)``.  The seed (any integer >= 0)
-    is mixed in once, in Python ints; the two spawn-key words and the output
+    is mixed in once, by ``SeedSequence``; the two spawn-key words and the output
     hash run as numpy uint32 operations over all pairs at once.  Each index
     is one 32-bit word of the key, so indices must be below 2**32.
     """

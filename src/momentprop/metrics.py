@@ -29,25 +29,6 @@ class RegressionScore:
 
 
 @dataclass(frozen=True)
-class UncertaintyScore:
-    """A scalar uncertainty value tagged with how it was computed."""
-
-    kind: str  # "entropy" or "one_minus_max"
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("entropy", "one_minus_max"):
-            raise ValueError(f"unknown uncertainty kind {self.kind!r}")
-        if not (self.value >= 0.0):
-            raise ValueError("uncertainty scores are nonnegative")
-
-    @classmethod
-    def from_probs(cls, kind: str, probs) -> "UncertaintyScore":
-        fn = entropy if kind == "entropy" else one_minus_max
-        return cls(kind=kind, value=float(fn(probs)))
-
-
-@dataclass(frozen=True)
 class RocResult:
     thresholds: np.ndarray
     fpr: np.ndarray

@@ -4,7 +4,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/digests.py
 
-It prints one ``<sha256>  <item>`` line per item, in three groups, each
+It prints one ``<sha256>  <item>`` line per item, in four groups, each
 followed by one line over the group's lines.  A change that promises
 bitwise-unchanged outputs prints the same lines before and after it.
 pytest does not collect this file.
@@ -41,6 +41,11 @@ The third group, whose last line is ``all compare, toy and uci``:
 * ``toy_curves`` (T=30) of a small untrained MLP on the toy data;
 * one ``uci_run`` row on 300 toy-data rows (2 epochs), without its
   ``rt_*`` timing columns.
+
+The fourth group, whose last line is ``all stream keys``:
+
+* ``mc.stream_keys`` for passes 0..1023 and layers (0, 3, 9) under seeds
+  0, 2**32, 2**128-1, 2**128 and 2**160: seeds of 1 to 6 32-bit words.
 """
 
 from __future__ import annotations
@@ -216,10 +221,17 @@ def compare_toy_and_uci_items():
         {k: v for k, v in row.items() if not k.startswith("rt_")})
 
 
+def stream_key_items():
+    seeds = (0, 2**32, 2**128 - 1, 2**128, 2**160)
+    yield "stream_keys 5 seeds, passes 0..1023, layers (0, 3, 9)", digest(
+        *[mc.stream_keys(seed, range(1024), (0, 3, 9)) for seed in seeds])
+
+
 def main():
     groups = ((items(), "all"),
               (predict_and_protocol_items(), "all predict and protocols"),
-              (compare_toy_and_uci_items(), "all compare, toy and uci"))
+              (compare_toy_and_uci_items(), "all compare, toy and uci"),
+              (stream_key_items(), "all stream keys"))
     for group, label in groups:
         overall = hashlib.sha256()
         for name, hexdigest in group:

@@ -409,6 +409,10 @@ class TestInputShapes:
         assert "Traceback" not in result.output
 
 
+# set-up keys that train a held-out-class protocol's models in well under a second
+_SMALL_OOD = {"n_per_class": 20, "epochs": 1, "conv_channels": [4], "dense_units": [8]}
+
+
 class TestExperimentCommands:
     def test_uci_on_handmade_csv(self, runner, tmp_path):
         x, y = gen_tabular_regression(50, n_features=3, seed=0)
@@ -492,6 +496,13 @@ class TestExperimentCommands:
         ("uci", "uci", {"datasets": [{"name": "hand", "path": "hand.csv"}]}),
         ("uci", "uci", {"datasets": [{"name": "hand", "path": "hand.csv",
                                       "target_column": "y", "sep": ","}]}),
+        ("ood", "ood", {"ensemble_size": 0, **_SMALL_OOD}),
+        ("ood", "ood", {"seeds": [], **_SMALL_OOD}),
+        ("filter", "filter", {"ensemble_size": 0, **_SMALL_OOD}),
+        ("filter", "filter", {"seeds": [], **_SMALL_OOD}),
+        ("auc-vs-t", "auc_vs_t", {"repeats": 0, **_SMALL_OOD}),
+        ("auc-vs-t", "auc_vs_t", {"t_list": [0, 2], **_SMALL_OOD}),
+        ("auc-vs-t", "auc_vs_t", {"t_list": [], **_SMALL_OOD}),
     ])
     def test_bad_config_is_data_error(self, runner, tmp_path, command, section, over):
         x, y = gen_tabular_regression(20, n_features=2, seed=0)
@@ -502,6 +513,9 @@ class TestExperimentCommands:
                                      "--data-dir", str(tmp_path), "experiment", command])
         assert result.exit_code == 3, result.output
         assert f"bad {section!r} config" in result.output
+        # the protocols' own checks name the key they reject
+        for key in over.keys() & {"seeds", "ensemble_size", "repeats", "t_list"}:
+            assert key in result.output
 
     def test_config_that_is_not_an_object_is_data_error(self, runner, tmp_path):
         cfg = tmp_path / "list.json"

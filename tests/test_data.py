@@ -192,18 +192,6 @@ class TestSyntheticImagesMatchPerImageReference:
         assert digest(ds) == expected
 
 
-class TestOodSplit:
-    def test_sorted_and_disjoint(self):
-        from momentprop.data import OodSplit
-
-        s = OodSplit((4, 0), (9, 2))
-        assert s.ind_classes == (0, 4) and s.ood_classes == (2, 9)
-        with pytest.raises(ValueError):
-            OodSplit((0, 1), (1, 2))
-        with pytest.raises(ValueError):
-            OodSplit((), (1,))
-
-
 class TestOodPartition:
     def test_five_of_ten(self):
         ds = gen_synthetic_images(10, seed=1)
@@ -226,6 +214,8 @@ class TestOodPartition:
         ds = gen_synthetic_images(5, n_classes=3, seed=1)
         with pytest.raises(ValueError):
             ood_partition(ds, (0, 7))
+        with pytest.raises(ValueError):
+            ood_partition(ds, ())
 
 
 def write_fake_cifar_batch(path, n_records, seed=0):

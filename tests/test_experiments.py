@@ -70,8 +70,19 @@ class TestToyExperiment:
                                        hidden=(16,), batch_size=32)
         rows = report.tables["curves"]
         assert set(rows[0]) == {"x", "det_mean", "mp_mean", "mp_sd", "mc_mean", "mc_sd", "mc_se_mean"}
-        assert report.runtimes["curve_evaluation"]["repeats"] >= 3
+        assert report.runtimes["curve_evaluation"]["repeats"] == 1
         assert all(r["mp_sd"] >= 0 for r in rows)
+
+    def test_curves_computed_once(self, monkeypatch):
+        calls, toy_curves = [], ex.toy_curves
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return toy_curves(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "toy_curves", counted)
+        ex.run_toy_experiment(t=10, seed=0, epochs=2, n=64, hidden=(8,), batch_size=32)
+        assert len(calls) == 1
 
 
 class TestUciExperiment:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import momentprop as mp
 from momentprop import experiments, layers, mc, network
@@ -150,7 +150,11 @@ class TestMcForward:
         mp.MCSample(4, seed=seed)
 
 
-_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 17]),
+# 2**128-1, 2**128 and 2**160 are seeds of 4, 5 and 6 words: the sizes at which
+# the count of hash constants numpy spends on the seed changes (each also runs
+# as an explicit example below)
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128,
+                                    2**130 + 17, 2**160]),
                    st.integers(0, 2**140))
 _INDICES = st.lists(st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
                     max_size=4)
@@ -161,6 +165,9 @@ class TestStreamKeys:
 
     @settings(max_examples=60, deadline=None)
     @given(_SEEDS, _INDICES, _INDICES)
+    @example(2**128 - 1, [0, 2**32 - 1], [3])
+    @example(2**128, [0, 2**32 - 1], [3])
+    @example(2**160, [0, 2**32 - 1], [3])
     def test_keys_and_draws_equal_seed_sequence(self, seed, samples, layers):
         keys = mc.stream_keys(seed, samples, layers)
         assert keys.shape == (len(samples), len(layers), 4) and keys.dtype == np.uint64

@@ -91,20 +91,6 @@ class TestOneMinusMax:
         assert metrics.one_minus_max([0.25, 0.25, 0.25, 0.25]) == pytest.approx(0.75)
 
 
-class TestUncertaintyScore:
-    def test_from_probs(self):
-        s = metrics.UncertaintyScore.from_probs("one_minus_max", [0.8, 0.2])
-        assert s.value == pytest.approx(0.2)
-        h = metrics.UncertaintyScore.from_probs("entropy", np.full(4, 0.25))
-        assert 0.0 <= h.value <= np.log(4) + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            metrics.UncertaintyScore("margin", 0.5)
-        with pytest.raises(ValueError):
-            metrics.UncertaintyScore("entropy", -0.1)
-
-
 def brute_force_auc(scores, labels):
     scores = np.asarray(scores)
     pos = scores[np.asarray(labels) == 1]
