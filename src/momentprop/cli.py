@@ -454,25 +454,17 @@ def cmd_predict(obj, model_path, input_path, mode, t):
     x = _read_inputs(input_path, model)
     modes = {"det": Deterministic, "mc": lambda: MCSample(t, obj["seed"]), "mp": MomentPropagation}
     pred = predict(model, x, modes[mode]())
-    rows = []
     if model.task == "regression":
-        total = pred.total_variance
-        for i in range(len(x)):
-            rows.append({
-                "example": i, "mean": pred.mean[i], "variance": pred.variance[i],
-                "total_variance": total[i],
-            })
+        columns = {"mean": pred.mean, "variance": pred.variance,
+                   "total_variance": pred.total_variance}
     else:
-        probs, ent, omm = pred.probs, pred.entropy(), pred.one_minus_max()
-        for i in range(len(x)):
-            row = {"example": i, "predicted_class": int(probs[i].argmax()),
-                   "entropy": ent[i], "one_minus_max": omm[i]}
-            row.update({f"p{k}": probs[i, k] for k in range(probs.shape[1])})
-            rows.append(row)
+        columns = {"predicted_class": pred.probs.argmax(axis=1).tolist(),
+                   "entropy": pred.entropy(), "one_minus_max": pred.one_minus_max(),
+                   **{f"p{k}": p for k, p in enumerate(pred.probs.T)}}
     report = experiments.ExperimentReport(
         experiment="predict",
         config={"mode": mode, "t": t, "seed": obj["seed"], "model": str(model_path)},
-        tables={"predictions": rows},
+        tables={"predictions": experiments.table_rows(example=range(len(x)), **columns)},
     )
     _finish(report, obj, "predict")
 

@@ -10,6 +10,7 @@ toy protocol's one call of ``toy_curves`` and the training wall times.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -80,12 +81,30 @@ class ExperimentReport:
         return paths
 
 
-def _timed_with_median(fn, repeats, min_total_s: float = 1.5):
+def _echo(fn, **kwargs) -> dict:
+    """The keyword arguments of a call ``fn(..., **kwargs)`` with the defaults
+    of ``fn`` filled in and tuples written as lists: a report's config echo."""
+    bound = inspect.signature(fn).bind_partial(**kwargs)
+    bound.apply_defaults()
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in bound.arguments.items()}
+
+
+def table_rows(**columns) -> list[dict]:
+    """The rows of a report table given as equal-length columns, each row
+    keyed in argument order; a column of another length raises ValueError."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values(), strict=True)]
+
+
+MIN_TIMED_S = 1.5
+"""Measured seconds ``_timed_with_median`` accumulates before it stops."""
+
+
+def _timed_with_median(fn, repeats):
     """Last result, and the mean, SE and median of per-call wall time and the
     number of calls timed, ``{"mean_s", "se_s", "median_s", "repeats"}``,
     after one untimed warm-up call.
 
-    Short-running calls are repeated until at least ``min_total_s`` of
+    Short-running calls are repeated until at least ``MIN_TIMED_S`` of
     measured time accumulates (never fewer than ``repeats`` calls), which
     keeps the median stable against scheduler noise on shared hosts.
     """
@@ -94,7 +113,7 @@ def _timed_with_median(fn, repeats, min_total_s: float = 1.5):
     fn()  # warmup
     times = []
     total = 0.0
-    while len(times) < repeats or (total < min_total_s and len(times) < 200):
+    while len(times) < repeats or (total < MIN_TIMED_S and len(times) < 200):
         started = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - started
@@ -120,56 +139,31 @@ def run_compare(model: ModelSpec, x, t: int = 1000, seed: int = 0) -> Experiment
     """Tabulate propagated (E, V) against T-sample estimates per example."""
     x = np.asarray(x, dtype=np.float64)
     mp = predict(model, x, MomentPropagation())
-    rows = []
     if model.task == "regression":
         est = mc_forward(model, x, t, seed=seed).moments()
-        e_mp, v_mp = mp.mean, mp.variance
-        mean_mc, var_mc = est.mean[..., 0], est.variance[..., 0]
-        se_mc = est.standard_error_mean[..., 0]
-        for i in range(len(x)):
-            z = (e_mp[i] - mean_mc[i]) / se_mc[i] if se_mc[i] > 0 else 0.0
-            rows.append(
-                {
-                    "example": i,
-                    "e_mp": e_mp[i],
-                    "v_mp": v_mp[i],
-                    "mean_mc": mean_mc[i],
-                    "var_mc": var_mc[i],
-                    "se_mc": se_mc[i],
-                    "abs_diff": abs(e_mp[i] - mean_mc[i]),
-                    "z_score": z,
-                }
-            )
-        zs = np.array([abs(r["z_score"]) for r in rows])
-        summary = [{
-            "t": t,
-            "max_abs_z": float(zs.max()),
-            "frac_within_3se": float((zs <= 3.0).mean()),
-            "max_abs_diff": float(max(r["abs_diff"] for r in rows)),
-        }]
+        mean_mc, se_mc = est.mean[..., 0], est.standard_error_mean[..., 0]
+        diff = mp.mean - mean_mc
+        # an output that no dropout mask moves has no SE; its z-score is 0
+        z = np.divide(diff, se_mc, out=np.zeros_like(diff), where=se_mc > 0)
+        abs_diff, abs_z = np.abs(diff), np.abs(z)
+        columns = {"e_mp": mp.mean, "v_mp": mp.variance, "mean_mc": mean_mc,
+                   "var_mc": est.variance[..., 0], "se_mc": se_mc,
+                   "abs_diff": abs_diff, "z_score": z}
+        stats = {"max_abs_z": float(abs_z.max()),
+                 "frac_within_3se": float((abs_z <= 3.0).mean()),
+                 "max_abs_diff": float(abs_diff.max())}
     else:
         mc = predict(model, x, MCSample(t, seed))
-        ent_mp, ent_mc = mp.entropy(), mc.entropy()
-        for i in range(len(x)):
-            diff = np.abs(mp.probs[i] - mc.probs[i])
-            rows.append(
-                {
-                    "example": i,
-                    "max_abs_prob_diff": float(diff.max()),
-                    "entropy_mp": ent_mp[i],
-                    "entropy_mc": ent_mc[i],
-                }
-            )
-        summary = [{
-            "t": t,
-            "max_abs_prob_diff": float(max(r["max_abs_prob_diff"] for r in rows)),
-        }]
-    report = ExperimentReport(
+        prob_diff = np.abs(mp.probs - mc.probs).max(axis=1)
+        columns = {"max_abs_prob_diff": prob_diff.tolist(),
+                   "entropy_mp": mp.entropy(), "entropy_mc": mc.entropy()}
+        stats = {"max_abs_prob_diff": float(prob_diff.max())}
+    return ExperimentReport(
         experiment="compare",
         config={"t": t, "seed": seed, "task": model.task, "n_examples": len(x)},
-        tables={"per_example": rows, "summary": summary},
+        tables={"per_example": table_rows(example=range(len(x)), **columns),
+                "summary": [{"t": t, **stats}]},
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +217,11 @@ def toy_curves(model: ModelSpec, data: Dataset, t: int = 10_000, seed: int = 0) 
     _, mc_se_sq = destandardize_mean_var(
         rec, np.zeros_like(det), np.square(est.standard_error_mean[:, 0])
     )
-    x_orig = rec.feature_mean[0] + rec.feature_std[0] * x_test[:, 0]
-    rows = []
-    for i in range(len(x_test)):
-        rows.append(
-            {
-                "x": x_orig[i],
-                "det_mean": det_o[i],
-                "mp_mean": mp_mean[i],
-                "mp_sd": np.sqrt(mp_var[i]),
-                "mc_mean": mc_mean[i],
-                "mc_sd": np.sqrt(mc_var[i]),
-                "mc_se_mean": np.sqrt(mc_se_sq[i]),
-            }
-        )
-    return rows
+    return table_rows(
+        x=rec.feature_mean[0] + rec.feature_std[0] * x_test[:, 0],
+        det_mean=det_o, mp_mean=mp_mean, mp_sd=np.sqrt(mp_var),
+        mc_mean=mc_mean, mc_sd=np.sqrt(mc_var), mc_se_mean=np.sqrt(mc_se_sq),
+    )
 
 
 def run_toy_experiment(
@@ -247,14 +231,9 @@ def run_toy_experiment(
     started = time.perf_counter()
     rows = toy_curves(model, data, t=t, seed=seed)
     curve_s = time.perf_counter() - started
-    config = {
-        "t": t, "seed": seed, "epochs": epochs, "n": n,
-        "hidden": list(train_kw.get("hidden", (256, 256, 256))),
-        "dropout_rate": train_kw.get("dropout_rate", 0.3),
-    }
     return ExperimentReport(
         experiment="toy",
-        config=config,
+        config={"t": t, **_echo(train_toy_model, n=n, epochs=epochs, seed=seed, **train_kw)},
         tables={"curves": rows},
         runtimes={
             "curve_evaluation": {"mean_s": curve_s, "se_s": 0.0, "repeats": 1},
@@ -342,7 +321,8 @@ def run_uci_experiment(
     rows = _parallel_map(one, csv_specs, threads)
     return ExperimentReport(
         experiment="uci",
-        config={"seed": seed, "threads": threads, "datasets": csv_specs, **run_kw},
+        config={"datasets": csv_specs, "threads": threads,
+                **_echo(uci_run, seed=seed, **run_kw)},
         tables={"benchmark": rows},
     )
 
@@ -378,6 +358,7 @@ def build_ood_setup(
 ) -> OodSetup:
     """Generate the image benchmark, hold out half the classes, and train one
     ensemble of classifiers per experiment seed on the in-distribution part."""
+    config = _echo(build_ood_setup, **locals())
     if not seeds:
         raise ValueError("seeds must name at least one experiment seed")
     if ensemble_size < 1:
@@ -416,14 +397,6 @@ def build_ood_setup(
     members: dict[int, list[ModelSpec]] = {seed: [] for seed in seeds}
     for (seed, _), model in zip(jobs, models):
         members[seed].append(model)
-    config = {
-        "seeds": list(seeds), "ensemble_size": ensemble_size,
-        "n_per_class": n_per_class, "n_classes": n_classes,
-        "image_size": image_size, "ind_classes": list(ind_classes),
-        "data_seed": data_seed, "conv_channels": list(conv_channels),
-        "dense_units": list(dense_units), "dropout_rate": dropout_rate,
-        "epochs": epochs, "batch_size": batch_size, "learning_rate": learning_rate,
-    }
     return OodSetup(ind_data=ind_data, ood_data=ood_data, members=members, config=config)
 
 
@@ -493,14 +466,10 @@ def run_ood_experiment(
         setup = build_ood_setup(seeds=seeds, ensemble_size=ensemble_size, **setup_kw)
     per_seed = [_ood_seed(setup, seed, t) for seed in setup.members]
     rows = [row for row, _ in per_seed]
-    ent_rows = []
     # the first seed's entropies, those behind its row's auc_nn, auc_mc and auc_mp
-    for sub, h in per_seed[0][1].items():
-        for i in range(len(h["nn"])):
-            ent_rows.append(
-                {"subset": sub, "example": i,
-                 "entropy_nn": h["nn"][i], "entropy_mc": h["mc"][i], "entropy_mp": h["mp"][i]}
-            )
+    ent_rows = [row for sub, h in per_seed[0][1].items() for row in table_rows(
+        subset=[sub] * len(h["nn"]), example=range(len(h["nn"])),
+        entropy_nn=h["nn"], entropy_mc=h["mc"], entropy_mp=h["mp"])]
     return ExperimentReport(
         experiment="ood",
         config={**setup.config, "t": t},

@@ -4,7 +4,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/digests.py
 
-It prints one ``<sha256>  <item>`` line per item, in four groups, each
+It prints one ``<sha256>  <item>`` line per item, in five groups, each
 followed by one line over the group's lines.  A change that promises
 bitwise-unchanged outputs prints the same lines before and after it.
 pytest does not collect this file.
@@ -46,16 +46,27 @@ The fourth group, whose last line is ``all stream keys``:
 
 * ``mc.stream_keys`` for passes 0..1023 and layers (0, 3, 9) under seeds
   0, 2**32, 2**128-1, 2**128 and 2**160: seeds of 1 to 6 32-bit words.
+
+The fifth group, whose last line is ``all report files``:
+
+* the CSV bytes that ``momentprop predict`` (det, mp and mc at T=30) and
+  ``momentprop compare`` (T=30) write, run through ``click``'s test runner
+  into a temporary directory, for an untrained 3-input regression MLP on
+  16 rows and the untrained held-out-class CNN on 8 test images.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 from momentprop import data, experiments, mc, network, training
+from momentprop.cli import cli
 from momentprop.network import KINDS
 
 SEED = 3
@@ -227,11 +238,41 @@ def stream_key_items():
         *[mc.stream_keys(seed, range(1024), (0, 3, 9)) for seed in seeds])
 
 
+def report_file_items():
+    rng = np.random.default_rng(SEED)
+    ind, ood = held_out_images()
+    test = np.concatenate([ind.test_xy()[0], ood.test_xy()[0]])
+    inputs = {
+        "mlp 16 rows": (network.mlp_regression(3, hidden=(16, 16), dropout_rate=0.3, seed=SEED),
+                        rng.uniform(-2.0, 2.0, (16, 3))),
+        "held-out-cnn 8 images": (held_out_cnn(), test[rng.permutation(len(test))[:8]]),
+    }
+    runs = [(f"predict --mode {mode}", ["predict", "--mode", mode], ["predictions"])
+            for mode in ("det", "mp", "mc")]
+    runs.append(("compare", ["compare"], ["per_example", "summary"]))
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (model, x) in inputs.items():
+            model_path, x_path = Path(tmp, "model.mpmdl"), Path(tmp, "x.npy")
+            network.save_model(model, model_path)
+            np.save(x_path, x)
+            for label, args, tables in runs:
+                out = Path(tmp, "out")
+                result = runner.invoke(cli, [
+                    "--seed", str(SEED), "--out", str(out), *args, str(model_path),
+                    "--input", str(x_path), "--t", str(MC_SAMPLES)])
+                if result.exit_code != 0:
+                    raise RuntimeError(f"{label} {name}: {result.output}")
+                yield f"{label} {name} CSV bytes", hashlib.sha256(
+                    b"".join((out / f"{t}.csv").read_bytes() for t in tables)).hexdigest()
+
+
 def main():
     groups = ((items(), "all"),
               (predict_and_protocol_items(), "all predict and protocols"),
               (compare_toy_and_uci_items(), "all compare, toy and uci"),
-              (stream_key_items(), "all stream keys"))
+              (stream_key_items(), "all stream keys"),
+              (report_file_items(), "all report files"))
     for group, label in groups:
         overall = hashlib.sha256()
         for name, hexdigest in group:

@@ -175,19 +175,30 @@ def trained_model_path(tmp_path_factory):
 
 
 class TestCompareCommand:
-    def test_compare_with_npy(self, runner, trained_model_path, tmp_path):
-        xs = np.random.default_rng(0).uniform(-1, 1, (12, 1))
-        npy = tmp_path / "x.npy"
-        np.save(npy, xs)
-        out = tmp_path / "cmp"
-        result = runner.invoke(cli, [
-            "--out", str(out), "compare", str(trained_model_path),
-            "--input", str(npy), "--t", "500",
-        ])
-        assert result.exit_code == 0, result.output
-        lines = (out / "per_example.csv").read_text().splitlines()
-        assert lines[0].startswith("example,e_mp,v_mp,mean_mc")
-        assert len(lines) == 13
+    def test_compare_with_npy(self, runner, trained_model_path, cnn3_path, tmp_path):
+        cases = {
+            "regression": (trained_model_path, (12, 1), "500",
+                           "example,e_mp,v_mp,mean_mc,var_mc,se_mc,abs_diff,z_score",
+                           "t,max_abs_z,frac_within_3se,max_abs_diff"),
+            "classifier": (cnn3_path, (12, 1, 8, 8), "16",
+                           "example,max_abs_prob_diff,entropy_mp,entropy_mc",
+                           "t,max_abs_prob_diff"),
+        }
+        for task, (model_path, shape, t, header, summary) in cases.items():
+            npy = tmp_path / f"{task}.npy"
+            np.save(npy, np.random.default_rng(0).uniform(-1, 1, shape))
+            out = tmp_path / f"cmp-{task}"
+            result = runner.invoke(cli, [
+                "--out", str(out), "compare", str(model_path), "--input", str(npy), "--t", t,
+            ])
+            assert result.exit_code == 0, result.output
+            lines = (out / "per_example.csv").read_text().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 13
+            lines = (out / "summary.csv").read_text().splitlines()
+            assert lines[0] == summary
+            assert lines[1].startswith(f"{t},")
+            assert len(lines) == 2
 
     def test_requires_some_input(self, runner, trained_model_path):
         result = runner.invoke(cli, ["compare", str(trained_model_path)])
@@ -204,20 +215,29 @@ class TestCompareCommand:
 
 
 class TestPredictCommand:
-    def test_predict_modes(self, runner, trained_model_path, tmp_path):
-        xs = np.zeros((3, 1))
-        npy = tmp_path / "x.npy"
-        np.save(npy, xs)
-        for mode in ("det", "mp", "mc"):
-            out = tmp_path / f"pred-{mode}"
-            result = runner.invoke(cli, [
-                "--out", str(out), "predict", str(trained_model_path),
-                "--input", str(npy), "--mode", mode, "--t", "16",
-            ])
-            assert result.exit_code == 0, result.output
-            rows = (out / "predictions.csv").read_text().splitlines()
-            assert len(rows) == 4
-            assert rows[0] == "example,mean,variance,total_variance"
+    def test_predict_modes(self, runner, trained_model_path, cnn3_path, tmp_path):
+        cases = {
+            "regression": (trained_model_path, (3, 1), "example,mean,variance,total_variance"),
+            "classifier": (cnn3_path, (3, 1, 8, 8),
+                           "example,predicted_class,entropy,one_minus_max,p0,p1,p2"),
+        }
+        for task, (model_path, shape, header) in cases.items():
+            npy = tmp_path / f"{task}.npy"
+            np.save(npy, np.zeros(shape))
+            for mode in ("det", "mp", "mc"):
+                out = tmp_path / f"pred-{task}-{mode}"
+                result = runner.invoke(cli, [
+                    "--out", str(out), "predict", str(model_path),
+                    "--input", str(npy), "--mode", mode, "--t", "16",
+                ])
+                assert result.exit_code == 0, result.output
+                rows = (out / "predictions.csv").read_text().splitlines()
+                assert len(rows) == 4
+                assert rows[0] == header
+                # example and predicted_class are written as integers
+                assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
+                if task == "classifier":
+                    assert all(r.split(",")[1] in {"0", "1", "2"} for r in rows[1:])
 
     def test_corrupt_model_is_data_error(self, runner, tmp_path):
         bad = tmp_path / "bad.mpmdl"
@@ -295,6 +315,15 @@ class TestNonFiniteInputs:
 def mlp3_path(tmp_path):
     path = tmp_path / "mlp3.mpmdl"
     mp.save_model(mp.mlp_regression(3, hidden=(8,), seed=0), path)
+    return path
+
+
+@pytest.fixture
+def cnn3_path(tmp_path):
+    """An untrained three-class CNN on 1x8x8 images."""
+    path = tmp_path / "cnn3.mpmdl"
+    mp.save_model(mp.cnn_classifier(input_shape=(1, 8, 8), conv_channels=(4,), dense_units=(8,),
+                                    n_classes=3, seed=0), path)
     return path
 
 
@@ -433,6 +462,12 @@ class TestExperimentCommands:
             for col in ("dataset", "n", "q", "rmse_mc", "nll_mc", "rt_mc_s",
                         "rmse_mp", "nll_mp", "rt_mp_s"):
                 assert col in header
+            # the echo holds uci_run's defaults next to the values given
+            config = json.loads((out / "summary.json").read_text())["config"]
+            assert {k: config[k] for k in ("p_grid", "tau_grid", "hidden", "epochs", "t_mc",
+                                           "timing_repeats", "seed", "threads")} == {
+                "p_grid": [0.01, 0.05], "tau_grid": [0.25, 1.0, 4.0], "hidden": [50],
+                "epochs": 5, "t_mc": 50, "timing_repeats": 3, "seed": 0, "threads": 1}
 
     def test_uci_without_datasets_is_usage_error(self, runner):
         assert runner.invoke(cli, ["experiment", "uci"]).exit_code == 2

@@ -47,6 +47,19 @@ class TestCompare:
         report = ex.run_compare(model, x, t=2, seed=0)
         assert report.tables["summary"][0]["max_abs_diff"] == 0.0
 
+    def test_output_no_mask_moves_has_zero_z_score(self):
+        """A ReLU dead for the first input under every dropout mask leaves its
+        MC output constant (SE 0): its z-score is 0.0, with no RuntimeWarning."""
+        model = mp.ModelSpec(
+            layers=(mp.DropoutSpec(0.3), mp.DenseSpec(np.ones((1, 1)), np.full(1, -2.0)),
+                    mp.ReluSpec(), mp.DenseSpec(np.ones((1, 1)), np.zeros(1))),
+            input_shape=(1,), task="regression", tau=1.0,
+        )
+        rows = ex.run_compare(model, np.array([[0.5], [3.0]]), t=200, seed=0).tables["per_example"]
+        assert rows[0]["se_mc"] == 0.0 and rows[0]["abs_diff"] > 0.0
+        assert rows[0]["z_score"] == 0.0
+        assert rows[1]["se_mc"] > 0.0 and rows[1]["z_score"] != 0.0
+
 
 class TestReportWriting:
     def test_write_emits_csv_and_summary(self, tmp_path):
@@ -63,6 +76,13 @@ class TestReportWriting:
         assert summary["config"] == {"alpha": 1}
         assert "rows" in summary["tables"]
 
+    def test_table_rows_from_columns(self):
+        rows = ex.table_rows(b=range(2), a=np.array([0.5, 1.5]))
+        assert rows == [{"b": 0, "a": 0.5}, {"b": 1, "a": 1.5}]
+        assert list(rows[0]) == ["b", "a"]
+        with pytest.raises(ValueError):
+            ex.table_rows(a=[1, 2], b=[1])
+
 
 class TestToyExperiment:
     def test_small_run_schema(self):
@@ -72,6 +92,11 @@ class TestToyExperiment:
         assert set(rows[0]) == {"x", "det_mean", "mp_mean", "mp_sd", "mc_mean", "mc_sd", "mc_se_mean"}
         assert report.runtimes["curve_evaluation"]["repeats"] == 1
         assert all(r["mp_sd"] >= 0 for r in rows)
+        # the resolved configuration: the call's arguments and train_toy_model's defaults
+        assert report.config == {
+            "t": 200, "n": 96, "hidden": [16], "dropout_rate": 0.3, "epochs": 5,
+            "batch_size": 32, "learning_rate": 1e-3, "tau": 100.0, "seed": 0, "data_seed": 1,
+        }
 
     def test_curves_computed_once(self, monkeypatch):
         calls, toy_curves = [], ex.toy_curves
@@ -143,6 +168,7 @@ class TestOodExperiment:
         assert len(report.tables["ood_metrics"]) == 2
         assert "entropies" in report.tables
         assert report.config["ind_classes"] == [0, 1, 4, 5, 8]
+        assert report.config["split_fractions"] == [0.5, 0.125, 0.375]
 
     def test_entropies_table_gives_the_first_row_aucs(self, tiny_setup):
         report = ex.run_ood_experiment(setup=tiny_setup, t=4)
