@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import _positive_sizes
+from .layers import _positive_sizes
 
 TRAIN, VAL, TEST = "train", "val", "test"
 _TAGS = (TRAIN, VAL, TEST)
@@ -396,7 +396,10 @@ def ood_partition(data: Dataset, ind_classes) -> tuple[Dataset, Dataset]:
     0..len(ind)-1) and held-out classes (targets set to -1)."""
     if data.task != "classification" or data.n_classes is None:
         raise ValueError("need a labeled classification dataset")
-    ind = sorted(set(int(c) for c in ind_classes))
+    ids = list(ind_classes)
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in ids):
+        raise ValueError(f"ind_classes must be integer class ids, got {ids!r}")
+    ind = sorted(set(int(c) for c in ids))
     if not ind:
         raise ValueError("ind_classes must be nonempty")
     if any(c < 0 or c >= data.n_classes for c in ind):

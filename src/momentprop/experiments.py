@@ -273,18 +273,14 @@ def uci_run(
     s2 = rec.target_std**2
     tau_orig = result.tau / s2
 
-    def eval_mc():
-        batch = mc_forward(model, x_test, t_mc, seed=seed)
-        mu = rec.target_mean + rec.target_std * batch.outputs[..., 0]
-        return metrics.score_regression_mc(mu, tau_orig, y_test)
-
-    def eval_mp():
-        pred = predict(model, x_test, MomentPropagation())
-        mean, var = destandardize_mean_var(rec, pred.mean, pred.variance)
-        return metrics.score_regression_mp(mean, var, tau_orig, y_test)
-
-    score_mc, rt_mc = _timed_with_median(eval_mc, timing_repeats)
-    score_mp, rt_mp = _timed_with_median(eval_mp, timing_repeats)
+    batch, rt_mc = _timed_with_median(
+        lambda: mc_forward(model, x_test, t_mc, seed=seed), timing_repeats)
+    pred, rt_mp = _timed_with_median(
+        lambda: predict(model, x_test, MomentPropagation()), timing_repeats)
+    mu = rec.target_mean + rec.target_std * batch.outputs[..., 0]
+    score_mc = metrics.score_regression_mc(mu, tau_orig, y_test)
+    mean, var = destandardize_mean_var(rec, pred.mean, pred.variance)
+    score_mp = metrics.score_regression_mp(mean, var, tau_orig, y_test)
     _, nll_mc_se = metrics.mean_with_se(-score_mc.log_densities)
     _, nll_mp_se = metrics.mean_with_se(-score_mp.log_densities)
     return {

@@ -115,6 +115,13 @@ def _blockwise(op, mt: MomentTensor) -> MomentTensor:
     return MomentTensor._unchecked(e_out.reshape(mt.shape), v_out.reshape(mt.shape))
 
 
+def _positive_sizes(values) -> bool:
+    """Whether every value is a positive integer; a bool or a float is not."""
+    return all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in values
+    )
+
+
 def _param_array(values, name: str, ndim: int) -> np.ndarray:
     """Validate a parameter tensor and snap it to float32 storage width.
 
@@ -198,8 +205,9 @@ class Conv2DSpec:
             raise ValueError("bias length must equal out_channels")
         if self.padding not in ("same", "valid"):
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
-        if not (isinstance(self.stride, int) and self.stride >= 1):
+        if not _positive_sizes((self.stride,)):
             raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
+        object.__setattr__(self, "stride", int(self.stride))
 
     @property
     def out_channels(self) -> int:
@@ -233,8 +241,9 @@ class MaxPool2DSpec:
     size: int
 
     def __post_init__(self):
-        if not (isinstance(self.size, int) and self.size >= 2):
+        if not (_positive_sizes((self.size,)) and self.size >= 2):
             raise ValueError(f"pool size must be an integer >= 2, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))
 
 
 @dataclass(frozen=True)

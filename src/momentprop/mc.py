@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import network
-from .layers import DropoutSpec, dropout_sample
+from .layers import dropout_sample
 
 # SeedSequence's hash, O'Neill's seed_seq_fe (numpy.random.bit_generator):
 # 32-bit words, a 4-word pool, one multiplier sequence for mixing entropy in
@@ -228,10 +228,9 @@ def mc_forward(model: network.ModelSpec, x, t: int, seed: int = 0) -> SampleBatc
     group = min(t, max(1, STACK_BYTES // (8 * max(1, len(xb)) * widest)))
     stacked = np.concatenate([xb] * group) if group > 1 else xb
     draws = network._DrawScratch(model, xb)  # shared by every pass of this call
-    dropouts = [i for i, layer in enumerate(model.layers) if type(layer) is DropoutSpec]
-    column = {idx: c for c, idx in enumerate(dropouts)}
+    column = {idx: c for c, idx in enumerate(model.dropouts)}
     outputs = np.empty((t, len(xb)) + model.output_shape)
-    keys = _pass_keys(seed, t, dropouts)
+    keys = _pass_keys(seed, t, model.dropouts)
     for start in range(0, t, group):
         passes = min(group, t - start)
         tables = list(itertools.islice(keys, passes))

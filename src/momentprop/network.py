@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -37,6 +37,7 @@ from .layers import (
     _dense_forward,
     _pool_backward,
     _pool_forward,
+    _positive_sizes,
     _relu_forward,
     conv2d_det,
     conv2d_mp,
@@ -79,9 +80,6 @@ class ModelMeta:
     name: str = ""
     seed: int | None = None
     config_digest: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "seed": self.seed, "config_digest": self.config_digest}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelMeta":
@@ -182,9 +180,7 @@ KINDS: dict[type, LayerKind] = {
         "conv2d", ("out_channels", "in_channels", "kernel_size", "padding", "stride"),
         _conv_shape,
         lambda h, l, out=None, passes=1: conv2d_det(h, l), lambda mt, l: conv2d_mp(mt, l),
-        lambda e, t: Conv2DSpec(
-            kernel=t[0], bias=t[1], padding=e["padding"], stride=int(e["stride"])
-        ),
+        lambda e, t: Conv2DSpec(kernel=t[0], bias=t[1], padding=e["padding"], stride=e["stride"]),
         train_forward=_conv_forward, train_backward=_conv_backward,
         tensors=lambda l: [l.kernel, l.bias],
         tensor_shapes=lambda e: [
@@ -194,7 +190,7 @@ KINDS: dict[type, LayerKind] = {
     MaxPool2DSpec: LayerKind(
         "maxpool2d", ("size",), _pool_shape,
         lambda h, l, out=None, passes=1: maxpool2d_det(h, l), lambda mt, l: maxpool2d_mp(mt, l),
-        lambda e, t: MaxPool2DSpec(size=int(e["size"])),
+        lambda e, t: MaxPool2DSpec(size=e["size"]),
         train_forward=_pool_forward, train_backward=_pool_backward,
     ),
     ReluSpec: LayerKind(
@@ -224,13 +220,6 @@ KINDS: dict[type, LayerKind] = {
 }
 
 _KINDS_BY_NAME = {kind.name: kind for kind in KINDS.values()}
-
-
-def _positive_sizes(values) -> bool:
-    """Whether every value is a positive integer; a bool or a float is not."""
-    return all(
-        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in values
-    )
 
 
 def kind_of(layer) -> LayerKind:
@@ -308,13 +297,15 @@ class ModelSpec:
         return tuple(steps)
 
     @cached_property
+    def dropouts(self) -> tuple[int, ...]:
+        """Indices of the dropout layers, in layer order."""
+        return tuple(i for i, l in enumerate(self.layers) if isinstance(l, DropoutSpec))
+
+    @cached_property
     def widest_dropout_input(self) -> int:
         """Largest per-example input size of a dropout layer; 0 without dropout."""
-        inputs = (self.input_shape,) + self.layer_shapes[:-1]
-        return max(
-            (math.prod(s) for l, s in zip(self.layers, inputs) if isinstance(l, DropoutSpec)),
-            default=0,
-        )
+        inputs = (self.input_shape,) + self.layer_shapes
+        return max((math.prod(inputs[i]) for i in self.dropouts), default=0)
 
     @cached_property
     def det_prefix(self) -> int:
@@ -330,7 +321,7 @@ class ModelSpec:
 
     @property
     def dropout_rates(self) -> tuple[float, ...]:
-        return tuple(l.rate for l in self.layers if isinstance(l, DropoutSpec))
+        return tuple(self.layers[i].rate for i in self.dropouts)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +606,7 @@ def save_model(model: ModelSpec, path) -> None:
         "task": model.task,
         "input_shape": list(model.input_shape),
         "tau": model.tau,
-        "metadata": model.metadata.to_dict(),
+        "metadata": asdict(model.metadata),
         "layers": [KINDS[type(l)].entry(l) for l in model.layers],
     }
     blob = bytearray()
@@ -661,26 +652,19 @@ def load_model(path) -> ModelSpec:
     input_shape = manifest.get("input_shape")
     if not (isinstance(input_shape, list) and _positive_sizes(input_shape)):
         raise MalformedModelError(f"input_shape {input_shape!r} is not a list of positive sizes")
-    expected = sum(int(np.prod(s)) for per_layer in shapes for s in per_layer) * 4
-    blobs = body[manifest_len:]
+    sizes = [math.prod(s) for per_layer in shapes for s in per_layer]
+    expected, blobs = 4 * sum(sizes), body[manifest_len:]
     if len(blobs) != expected:
         raise MalformedModelError(
             f"manifest declares {expected} weight bytes but file has {len(blobs)}"
         )
-    layers = []
-    offset = 0
+    flat = np.frombuffer(blobs, dtype="<f4").astype(np.float64)
+    tensors = iter(np.split(flat, np.cumsum(sizes[:-1], dtype=int)))
     try:
-        for kind, entry, per_layer in zip(kinds, entries, shapes):
-            tensors = []
-            for shape in per_layer:
-                count = int(np.prod(shape))
-                tensors.append(
-                    np.frombuffer(blobs, dtype="<f4", count=count, offset=offset)
-                    .reshape(shape)
-                    .astype(np.float64)
-                )
-                offset += count * 4
-            layers.append(kind.build(entry, tensors))
+        layers = [
+            kind.build(entry, [next(tensors).reshape(s) for s in per_layer])
+            for kind, entry, per_layer in zip(kinds, entries, shapes)
+        ]
         return ModelSpec(
             layers=tuple(layers),
             input_shape=tuple(input_shape),
@@ -701,6 +685,19 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _dense_stages(rng, prev: int, widths, out_dim: int, dropout_rate: float) -> list[LayerSpec]:
+    """[dense, relu, dropout] per width, then the output dense.  The dropout
+    layer is made for any nonzero rate, so ``DropoutSpec`` checks the rate
+    even when ``widths`` is empty."""
+    dropout = [DropoutSpec(dropout_rate)] if dropout_rate else []
+    layers: list[LayerSpec] = []
+    for width in widths:
+        layers += [DenseSpec(_he_uniform(rng, (prev, width), prev), np.zeros(width)), ReluSpec()]
+        layers += dropout
+        prev = width
+    return layers + [DenseSpec(_he_uniform(rng, (prev, out_dim), prev), np.zeros(out_dim))]
+
+
 def mlp_regression(
     in_dim: int,
     hidden: tuple[int, ...] = (50,),
@@ -711,16 +708,7 @@ def mlp_regression(
 ) -> ModelSpec:
     """Fully connected regression net: [dense-relu-dropout]*H then a linear
     output node.  He-style fan-in uniform initialization."""
-    rng = np.random.default_rng(seed)
-    layers: list[LayerSpec] = []
-    prev = in_dim
-    for width in hidden:
-        layers.append(DenseSpec(_he_uniform(rng, (prev, width), prev), np.zeros(width)))
-        layers.append(ReluSpec())
-        if dropout_rate > 0.0:
-            layers.append(DropoutSpec(dropout_rate))
-        prev = width
-    layers.append(DenseSpec(_he_uniform(rng, (prev, 1), prev), np.zeros(1)))
+    layers = _dense_stages(np.random.default_rng(seed), in_dim, hidden, 1, dropout_rate)
     return ModelSpec(
         layers=tuple(layers),
         input_shape=(in_dim,),
@@ -752,19 +740,12 @@ def cnn_classifier(
         layers.append(Conv2DSpec(kernel, np.zeros(out_c), padding="same"))
         layers.append(ReluSpec())
         layers.append(MaxPool2DSpec(pool_size))
-        if dropout_rate > 0.0:
+        if dropout_rate:
             layers.append(DropoutSpec(dropout_rate))
         c = out_c
         h, w = h // pool_size, w // pool_size
     layers.append(FlattenSpec())
-    prev = c * h * w
-    for width in dense_units:
-        layers.append(DenseSpec(_he_uniform(rng, (prev, width), prev), np.zeros(width)))
-        layers.append(ReluSpec())
-        if dropout_rate > 0.0:
-            layers.append(DropoutSpec(dropout_rate))
-        prev = width
-    layers.append(DenseSpec(_he_uniform(rng, (prev, n_classes), prev), np.zeros(n_classes)))
+    layers += _dense_stages(rng, c * h * w, dense_units, n_classes, dropout_rate)
     layers.append(SoftmaxSpec())
     return ModelSpec(
         layers=tuple(layers),

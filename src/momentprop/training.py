@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .layers import DropoutSpec
+from .layers import DropoutSpec, _positive_sizes
 from .metrics import regression_nll_mp
 from .network import (
     KINDS,
@@ -26,7 +26,6 @@ from .network import (
     ModelMeta,
     ModelSpec,
     MomentPropagation,
-    _positive_sizes,
     forward_mp,
     predict,
 )
@@ -143,11 +142,10 @@ def _rebuild_model(model: ModelSpec, params, cfg: TrainConfig) -> ModelSpec:
 
 def override_dropout(model: ModelSpec, rates: tuple[float, ...]) -> ModelSpec:
     """Replace the dropout rates in layer order."""
-    found = [i for i, l in enumerate(model.layers) if isinstance(l, DropoutSpec)]
-    if len(found) != len(rates):
-        raise ValueError(f"model has {len(found)} dropout layers, got {len(rates)} rates")
+    if len(model.dropouts) != len(rates):
+        raise ValueError(f"model has {len(model.dropouts)} dropout layers, got {len(rates)} rates")
     layers = list(model.layers)
-    for i, rate in zip(found, rates):
+    for i, rate in zip(model.dropouts, rates):
         layers[i] = DropoutSpec(rate)
     return replace(model, layers=tuple(layers))
 
@@ -216,11 +214,7 @@ def _loss_fn(kind):
 def _draw_masks(model: ModelSpec, batch: int, rng):
     """Dropout masks for one minibatch, keyed by layer index."""
     shapes = (model.input_shape,) + model.layer_shapes
-    return {
-        i: rng.random((batch,) + shapes[i]) >= layer.rate
-        for i, layer in enumerate(_train_layers(model))
-        if isinstance(layer, DropoutSpec)
-    }
+    return {i: rng.random((batch,) + shapes[i]) >= model.layers[i].rate for i in model.dropouts}
 
 
 def loss_with_params(model: ModelSpec, params, x, y, loss_kind: str, masks) -> float:

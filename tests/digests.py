@@ -4,7 +4,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/digests.py
 
-It prints one ``<sha256>  <item>`` line per item, in five groups, each
+It prints one ``<sha256>  <item>`` line per item, in six groups, each
 followed by one line over the group's lines.  A change that promises
 bitwise-unchanged outputs prints the same lines before and after it.
 pytest does not collect this file.
@@ -53,6 +53,14 @@ The fifth group, whose last line is ``all report files``:
   ``momentprop compare`` (T=30) write, run through ``click``'s test runner
   into a temporary directory, for an untrained 3-input regression MLP on
   16 rows and the untrained held-out-class CNN on 8 test images.
+
+The sixth group, whose last line is ``all model files``:
+
+* the ``.mpmdl`` bytes ``save_model`` writes, and the bytes after one
+  ``load_model`` -> ``save_model`` round trip, for ``mlp_regression`` with 0,
+  1 and 2 hidden stages, ``cnn_classifier`` with 1 and 2 conv blocks and 0
+  and 1 dense stages, each at dropout rate 0 and above, and
+  ``experiments.reference_cnn()``.
 """
 
 from __future__ import annotations
@@ -267,12 +275,36 @@ def report_file_items():
                     b"".join((out / f"{t}.csv").read_bytes() for t in tables)).hexdigest()
 
 
+def model_file_items():
+    models = {}
+    for rate in (0.0, 0.05):
+        for hidden in ((), (8,), (16, 16)):
+            models[f"mlp hidden={hidden} rate={rate}"] = network.mlp_regression(
+                3, hidden=hidden, dropout_rate=rate, seed=SEED)
+    for rate in (0.0, 0.3):
+        for conv in ((8,), (8, 16)):
+            for dense in ((), (64,)):
+                models[f"cnn conv={conv} dense={dense} rate={rate}"] = network.cnn_classifier(
+                    (1, 16, 16), conv_channels=conv, dense_units=dense, dropout_rate=rate,
+                    seed=SEED)
+    models["reference-cnn"] = experiments.reference_cnn(seed=SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "model.mpmdl")
+        for name, model in models.items():
+            network.save_model(model, path)
+            saved = path.read_bytes()
+            network.save_model(network.load_model(path), path)
+            yield f"model file {name}, saved and load-save", hashlib.sha256(
+                saved + path.read_bytes()).hexdigest()
+
+
 def main():
     groups = ((items(), "all"),
               (predict_and_protocol_items(), "all predict and protocols"),
               (compare_toy_and_uci_items(), "all compare, toy and uci"),
               (stream_key_items(), "all stream keys"),
-              (report_file_items(), "all report files"))
+              (report_file_items(), "all report files"),
+              (model_file_items(), "all model files"))
     for group, label in groups:
         overall = hashlib.sha256()
         for name, hexdigest in group:

@@ -89,6 +89,9 @@ class TestTrainCommand:
                      id="lr_reduction-key"),
         pytest.param("mlp", ("nmae",), "x", "top-level", id="top-level-key"),
         pytest.param("mlp", ("model", "dropout_rate"), 1.5, "model", id="dropout_rate-1.5"),
+        pytest.param("mlp", ("model", "dropout_rate"), -0.1, "model", id="dropout_rate--0.1"),
+        pytest.param("cnn", ("model", "dropout_rate"), float("nan"), "model",
+                     id="cnn-dropout_rate-nan"),
         pytest.param("mlp", ("train", "epochs"), 0, "train", id="epochs-0"),
         pytest.param("mlp", ("train", "epochs"), 2.5, "train", id="epochs-2.5"),
         pytest.param("mlp", ("train", "batch_size"), 8.5, "train", id="batch_size-8.5"),
@@ -538,6 +541,10 @@ class TestExperimentCommands:
         ("auc-vs-t", "auc_vs_t", {"repeats": 0, **_SMALL_OOD}),
         ("auc-vs-t", "auc_vs_t", {"t_list": [0, 2], **_SMALL_OOD}),
         ("auc-vs-t", "auc_vs_t", {"t_list": [], **_SMALL_OOD}),
+        ("ood", "ood", {"ind_classes": [0.5, 1], **_SMALL_OOD}),
+        ("toy", "toy", {"dropout_rate": -0.1}),
+        ("uci", "uci", {"p_grid": [-0.1], "epochs": 1,
+                        "datasets": [{"name": "hand", "path": "hand.csv", "target_column": "y"}]}),
     ])
     def test_bad_config_is_data_error(self, runner, tmp_path, command, section, over):
         x, y = gen_tabular_regression(20, n_features=2, seed=0)
@@ -549,7 +556,7 @@ class TestExperimentCommands:
         assert result.exit_code == 3, result.output
         assert f"bad {section!r} config" in result.output
         # the protocols' own checks name the key they reject
-        for key in over.keys() & {"seeds", "ensemble_size", "repeats", "t_list"}:
+        for key in over.keys() & {"seeds", "ensemble_size", "repeats", "t_list", "ind_classes"}:
             assert key in result.output
 
     def test_config_that_is_not_an_object_is_data_error(self, runner, tmp_path):

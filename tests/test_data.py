@@ -216,6 +216,9 @@ class TestOodPartition:
             ood_partition(ds, (0, 7))
         with pytest.raises(ValueError):
             ood_partition(ds, ())
+        for ids in ((0.5, 1.7), (True, 2), (0, 1.0)):
+            with pytest.raises(ValueError, match="ind_classes"):
+                ood_partition(ds, ids)
 
 
 def write_fake_cifar_batch(path, n_records, seed=0):

@@ -126,6 +126,20 @@ class TestUciExperiment:
         assert abs(row["rmse_mc"] - row["rmse_mp"]) / row["rmse_mc"] < 0.1
         assert row["rt_mc_s"] > row["rt_mp_s"]
 
+    def test_scoring_outside_timed_calls(self, monkeypatch, tmp_path):
+        """The rt_* columns time the forwards alone: each result is scored once."""
+        calls = []
+        for name in ("score_regression_mc", "score_regression_mp"):
+            def counted(*args, _score=getattr(ex.metrics, name), _name=name):
+                calls.append(_name)
+                return _score(*args)
+            monkeypatch.setattr(ex.metrics, name, counted)
+        write_regression_csv(tmp_path / "s.csv", *gen_tabular_regression(80, n_features=3))
+        data = load_csv_regression(tmp_path / "s.csv", "y", seed=0)
+        ex.uci_run("standin", data, p_grid=(0.05,), tau_grid=(1.0,), hidden=(8,), epochs=2,
+                   t_mc=10, seed=0)
+        assert sorted(calls) == ["score_regression_mc", "score_regression_mp"]
+
 
 def _ood_with(threads, tmp_path):
     setup = ex.build_ood_setup(seeds=(0, 1), ensemble_size=2, n_per_class=20, epochs=2,

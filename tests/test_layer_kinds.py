@@ -154,6 +154,8 @@ class TestKindProperties:
     def test_layer_shapes_match_trace_det(self, model):
         shapes = tuple(out.shape for out in per_layer(mp.forward_det, model, example_input(model)))
         assert shapes == model.layer_shapes
+        assert model.dropouts == tuple(
+            i for i, l in enumerate(model.layers) if kind_of(l).name == "dropout")
 
     @settings(max_examples=80, deadline=None)
     @given(models())

@@ -78,6 +78,16 @@ class TestModelSpec:
                              tau=1.0)
         assert model.input_shape == (8,) and type(model.input_shape[0]) is int
 
+    @pytest.mark.parametrize("rate", [-0.1, float("nan")])
+    def test_builders_refuse_a_bad_dropout_rate(self, rate):
+        # such a rate used to build a model with no dropout layer
+        with pytest.raises(ValueError, match="dropout rate"):
+            small_regressor(dropout=rate)
+        with pytest.raises(ValueError, match="dropout rate"):
+            small_classifier(dropout=rate)
+        with pytest.raises(ValueError, match="dropout rate"):
+            mp.mlp_regression(3, hidden=(), dropout_rate=rate)
+
     def test_layer_shapes(self):
         model = small_classifier()
         assert model.layer_shapes[-1] == (3,)
@@ -289,6 +299,25 @@ class TestSerialization:
         mp.save_model(model, p1)
         mp.save_model(mp.load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_layer_sizes_accept_numpy_integers(self, tmp_path):
+        # np.int64 stride and pool sizes used to be refused
+        conv = mp.Conv2DSpec(np.ones((2, 1, 3, 3)), np.zeros(2), stride=np.int64(1))
+        pool = mp.MaxPool2DSpec(np.int64(2))
+        assert type(conv.stride) is int and type(pool.size) is int
+        model = mp.ModelSpec(
+            layers=(conv, pool, mp.FlattenSpec(), mp.DenseSpec(np.ones((8, 1)), np.zeros(1))),
+            input_shape=(1, 4, 4), task="regression", tau=1.0,
+        )
+        p1, p2 = tmp_path / "a.mpmdl", tmp_path / "b.mpmdl"
+        mp.save_model(model, p1)
+        mp.save_model(mp.load_model(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bool_stride_refused(self):
+        # stride=True used to build a model whose saved file load_model refused
+        with pytest.raises(ValueError, match="stride"):
+            mp.Conv2DSpec(np.ones((2, 1, 3, 3)), np.zeros(2), stride=True)
 
     def test_truncated_file_fails_checksum(self, tmp_path):
         model = small_regressor()
