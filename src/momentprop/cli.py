@@ -25,6 +25,7 @@ from .data import (
     load_cifar10,
     load_csv_regression,
     ood_partition,
+    read_numeric_csv,
     standardize_regression,
 )
 from .network import (
@@ -221,15 +222,14 @@ def _read_inputs(path, model) -> np.ndarray:
     if not path.exists():
         raise DataError(f"no such input file: {path}")
     if path.suffix == ".npy":
-        rows = np.load(path)
+        try:
+            x = np.asarray(np.load(path), dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{path}: non-numeric input rows: {exc}") from exc
     elif path.suffix == ".csv":
-        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+        x = read_numeric_csv(path)[1]
     else:
         raise DataError(f"unsupported input format {path.suffix!r} (use .npy or .csv)")
-    try:
-        x = np.asarray(rows, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"{path}: non-numeric input rows: {exc}") from exc
     x = _fit_inputs(x, model, path)
     bad = np.argwhere(~np.isfinite(x))
     if len(bad):

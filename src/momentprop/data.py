@@ -158,27 +158,27 @@ def gen_toy_regression(
     x_range: tuple[float, float] = (-3.0, 19.0),
     noise_sigma: float = 0.1,
     seed: int = 0,
-    val_fraction: float = 0.2,
-    test_points: int = 200,
-    extrapolation: float = 0.15,
 ) -> Dataset:
-    """Noisy samples of the toy curve on x_range plus an evenly spaced test
-    grid that extends beyond the range by `extrapolation` of its span."""
+    """Noisy samples of the toy curve on x_range, a fifth of them (rounded
+    down) for validation, plus a test grid of 200 evenly spaced points that
+    extends beyond the range by 0.15 of its span on each side.  The test
+    noise is drawn last."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     lo, hi = x_range
     x = rng.uniform(lo, hi, size=n)
     y = toy_target(x) + noise_sigma * rng.standard_normal(n)
-    n_val = int(n * val_fraction)
+    n_val = int(n * 0.2)
     tags = np.array([TRAIN] * (n - n_val) + [VAL] * n_val)
     tags = tags[rng.permutation(n)]
-    pad = extrapolation * (hi - lo)
-    x_test = np.linspace(lo - pad, hi + pad, test_points)
-    y_test = toy_target(x_test) + noise_sigma * rng.standard_normal(test_points)
+    pad = 0.15 * (hi - lo)
+    n_test = 200
+    x_test = np.linspace(lo - pad, hi + pad, n_test)
+    y_test = toy_target(x_test) + noise_sigma * rng.standard_normal(n_test)
     features = np.concatenate([x, x_test])[:, None]
     targets = np.concatenate([y, y_test])
-    split = np.concatenate([tags, np.array([TEST] * test_points)])
+    split = np.concatenate([tags, np.array([TEST] * n_test)])
     return Dataset(features=features, targets=targets, split=split, task="regression")
 
 
@@ -186,29 +186,20 @@ def gen_toy_regression(
 # CSV regression tables
 
 
-def load_csv_regression(
-    path,
-    target_column: str,
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-    standardize: bool = True,
-) -> Dataset:
-    """Parse a numeric CSV with a header row, shuffle, split, and standardize
-    on train statistics.  Missing values or non-numeric cells are data errors.
-    """
+def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+    """The header and the (rows, columns) float table of a numeric CSV file.
+    A missing or empty file, a row with another cell count than the header,
+    and an empty or non-numeric cell are data errors that name the file and,
+    for a cell, its line and column."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if target_column not in header:
-            raise DataError(f"target column {target_column!r} not in header {header}")
-        t_idx = header.index(target_column)
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -225,17 +216,32 @@ def load_csv_regression(
                         f"{path}:{line_no}: non-numeric value {cell!r} in column {name!r}"
                     ) from None
             rows.append(parsed)
-    if not rows:
+    return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+
+
+def load_csv_regression(
+    path,
+    target_column: str,
+    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    seed: int = 0,
+) -> Dataset:
+    """Parse a numeric CSV with a header row (``read_numeric_csv``), shuffle,
+    split, and standardize on train statistics.
+    """
+    header, table = read_numeric_csv(path)
+    if target_column not in header:
+        raise DataError(f"target column {target_column!r} not in header {header}")
+    if not len(table):
         raise DataError(f"{path} has a header but no data rows")
-    table = np.asarray(rows, dtype=np.float64)
+    t_idx = header.index(target_column)
     targets = table[:, t_idx]
     features = np.delete(table, t_idx, axis=1)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(table))
     features, targets = features[perm], targets[perm]
     split = _split_tags(len(table), split_fractions)
-    ds = Dataset(features=features, targets=targets, split=split, task="regression")
-    return standardize_regression(ds) if standardize else ds
+    return standardize_regression(
+        Dataset(features=features, targets=targets, split=split, task="regression"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ benchmark-table runs on regression CSVs, the held-out-class detection study,
 filter curves, the AUC-versus-sample-count sweep, and runtime benchmarks.
 
 Every reported number comes from an operation in ``metrics``; runtimes are
-measured around forward calls only, over at least three repeats, except the
+measured around forward calls only (at least ``repeats`` calls), except the
 toy protocol's one call of ``toy_curves`` and the training wall times.
 """
 
@@ -47,13 +47,12 @@ from .training import TrainConfig, grid_search_uci, train
 
 @dataclass
 class ExperimentReport:
-    """Structured results: config echo, named tables, runtimes, artifacts."""
+    """Structured results: config echo, named tables and runtimes."""
 
     experiment: str
     config: dict
     tables: dict[str, list[dict]] = field(default_factory=dict)
     runtimes: dict[str, dict] = field(default_factory=dict)
-    artifacts: list[str] = field(default_factory=list)
 
     def write(self, out_dir) -> dict[str, str]:
         """Write one CSV per table plus a JSON summary; returns the paths."""
@@ -73,7 +72,6 @@ class ExperimentReport:
             "config": self.config,
             "runtimes": self.runtimes,
             "tables": paths,
-            "artifacts": self.artifacts,
         }
         summary_path = out / "summary.json"
         summary_path.write_text(json.dumps(summary, indent=2, default=float))
@@ -104,12 +102,11 @@ def _timed_with_median(fn, repeats):
     number of calls timed, ``{"mean_s", "se_s", "median_s", "repeats"}``,
     after one untimed warm-up call.
 
-    Short-running calls are repeated until at least ``MIN_TIMED_S`` of
-    measured time accumulates (never fewer than ``repeats`` calls), which
-    keeps the median stable against scheduler noise on shared hosts.
+    ``repeats`` is the least number of calls timed.  Short-running calls
+    are repeated beyond it until ``MIN_TIMED_S`` of measured time accumulates
+    or 200 calls are timed, which keeps the median stable against scheduler
+    noise on shared hosts.
     """
-    if repeats < 3:
-        repeats = 3
     fn()  # warmup
     times = []
     total = 0.0
@@ -224,16 +221,16 @@ def toy_curves(model: ModelSpec, data: Dataset, t: int = 10_000, seed: int = 0) 
     )
 
 
-def run_toy_experiment(
-    t: int = 10_000, seed: int = 0, epochs: int = 2000, n: int = 1536, **train_kw
-) -> ExperimentReport:
-    model, data, train_report = train_toy_model(n=n, epochs=epochs, seed=seed, **train_kw)
+def run_toy_experiment(t: int = 10_000, seed: int = 0, **train_kw) -> ExperimentReport:
+    """Train the toy model (``train_toy_model`` on ``seed`` and ``train_kw``)
+    and tabulate its curves at T samples."""
+    model, data, train_report = train_toy_model(seed=seed, **train_kw)
     started = time.perf_counter()
     rows = toy_curves(model, data, t=t, seed=seed)
     curve_s = time.perf_counter() - started
     return ExperimentReport(
         experiment="toy",
-        config={"t": t, **_echo(train_toy_model, n=n, epochs=epochs, seed=seed, **train_kw)},
+        config={"t": t, **_echo(train_toy_model, seed=seed, **train_kw)},
         tables={"curves": rows},
         runtimes={
             "curve_evaluation": {"mean_s": curve_s, "se_s": 0.0, "repeats": 1},
@@ -409,21 +406,21 @@ def ensemble_probs(models: list[ModelSpec], x, t: int, mc_seed: int) -> dict:
     return {m: metrics.ensemble_combine([p[m] for p in members]) for m in members[0]}
 
 
-def ood_seed_metrics(setup: OodSetup, seed: int, t: int = 50, mc_seed: int | None = None) -> dict:
+def ood_seed_metrics(setup: OodSetup, seed: int, t: int = 50) -> dict:
     """Correlation and detection metrics for one experiment seed.
 
     Entropy of the predictive distribution is the detection score; the
-    held-out classes are the positive class.
+    held-out classes are the positive class.  MC dropout draws from seeds
+    9000 + seed onwards.
     """
-    return _ood_seed(setup, seed, t, mc_seed)[0]
+    return _ood_seed(setup, seed, t)[0]
 
 
-def _ood_seed(setup: OodSetup, seed: int, t: int, mc_seed: int | None = None):
+def _ood_seed(setup: OodSetup, seed: int, t: int):
     """``ood_seed_metrics``' row, and the first member's entropies on the
     in-distribution and held-out test sets (``{"ind"|"ood": {method: array}}``)
     from which its correlations and single-model AUCs come."""
-    if mc_seed is None:
-        mc_seed = 9000 + seed
+    mc_seed = 9000 + seed
     models = setup.members[seed]
     x_ind, y_ind = setup.ind_data.test_xy()
     x_ood, _ = setup.ood_data.test_xy()
@@ -580,14 +577,14 @@ def run_auc_vs_t_experiment(
 # runtime benchmark
 
 
-def reference_cnn(n_classes: int = 10, seed: int = 0) -> ModelSpec:
-    """The three-block 16/32/64 conv net with two 128-unit dense stages used
-    for runtime measurements on 32x32x3 inputs."""
+def reference_cnn(seed: int = 0) -> ModelSpec:
+    """The three-block 16/32/64 conv net with two 128-unit dense stages and
+    10 classes used for runtime measurements on 32x32x3 inputs."""
     return cnn_classifier(
         input_shape=(3, 32, 32),
         conv_channels=(16, 32, 64),
         dense_units=(128, 128),
-        n_classes=n_classes,
+        n_classes=10,
         dropout_rate=0.3,
         seed=seed,
         name="reference-cnn",

@@ -141,7 +141,8 @@ def _param_array(values, name: str, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DropoutSpec:
-    """Dropout with drop probability ``rate`` in [0, 1).
+    """Dropout with drop probability ``rate`` in [0, 1), stored as a Python
+    float; a bool is refused.
 
     Non-inverted convention throughout: sampled masks are Bernoulli(1-rate)
     with no rescaling, and the deterministic forward multiplies activations
@@ -151,8 +152,9 @@ class DropoutSpec:
     rate: float
 
     def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
+        if isinstance(self.rate, (bool, np.bool_)) or not (0.0 <= self.rate < 1.0):
             raise ValueError(f"dropout rate must be in [0, 1), got {self.rate!r}")
+        object.__setattr__(self, "rate", float(self.rate))
 
 
 @dataclass(frozen=True)

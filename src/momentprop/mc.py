@@ -172,7 +172,7 @@ class SampleBatch:
     seed: int
 
     def moments(self) -> MomentEstimate:
-        return estimate_moments(self)
+        return estimate_moments(self.outputs)
 
 
 def _moments_from_power_sums(n, s1, s2, s3, s4):
@@ -193,9 +193,10 @@ def _moments_from_power_sums(n, s1, s2, s3, s4):
     )
 
 
-def estimate_moments(batch) -> MomentEstimate:
-    """Per-component sample mean, unbiased variance, and standard errors."""
-    arr = batch.outputs if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=np.float64)
+def estimate_moments(samples) -> MomentEstimate:
+    """Per-component sample mean, unbiased variance, and standard errors of
+    a (T, ...) array of T samples."""
+    arr = np.asarray(samples, dtype=np.float64)
     n = arr.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples to estimate a variance")

@@ -37,8 +37,7 @@ class RocResult:
 
 
 def _mu_array(samples) -> np.ndarray:
-    outputs = getattr(samples, "outputs", samples)
-    arr = np.asarray(outputs, dtype=np.float64)
+    arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim > 1 and arr.shape[-1] == 1:
         arr = arr[..., 0]
     return arr
@@ -48,7 +47,7 @@ def regression_nll_mc(samples, tau: float, y) -> np.ndarray | float:
     """Negative log-likelihood of y under the T-component Gaussian mixture
     (1/T) sum_t N(y; mu_t, 1/tau), evaluated with log-sum-exp.
 
-    samples may be a SampleBatch or an array of shape (T,) or (T, B).
+    samples is an array of shape (T,), (T, B) or (T, B, 1).
     Returns a scalar for a single example, else one NLL per example.
     """
     if not (tau > 0.0):

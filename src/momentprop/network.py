@@ -75,11 +75,19 @@ class ModelChecksumError(ModelIOError):
     pass
 
 
+def _python_number(value):
+    """A numpy scalar as the equal Python number; any other value as given."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class ModelMeta:
     name: str = ""
     seed: int | None = None
     config_digest: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _python_number(self.seed))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelMeta":
@@ -163,7 +171,7 @@ KINDS: dict[type, LayerKind] = {
         "dropout", ("rate",), _same_shape,
         lambda h, l, out=None, passes=1: dropout_det(h, l, out),
         lambda mt, l: dropout_mp(mt, l),
-        lambda e, t: DropoutSpec(rate=float(e["rate"])),
+        lambda e, t: DropoutSpec(rate=e["rate"]),
         train_forward=lambda h, l, p, mask: (h * mask, mask),
         train_backward=lambda g, mask, l, p, need: (g * mask, {}),
         in_place=True,
@@ -246,6 +254,9 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if isinstance(self.tau, (bool, np.bool_)):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
+        object.__setattr__(self, "tau", _python_number(self.tau))
         shape = tuple(self.input_shape)
         if not _positive_sizes(shape):
             raise ValueError(f"input_shape {self.input_shape!r} is not a list of positive sizes")
@@ -722,15 +733,14 @@ def cnn_classifier(
     input_shape: tuple[int, int, int] = (3, 32, 32),
     conv_channels: tuple[int, ...] = (16, 32, 64),
     kernel_size: int = 3,
-    pool_size: int = 2,
     dense_units: tuple[int, ...] = (128, 128),
     n_classes: int = 10,
     dropout_rate: float = 0.3,
     seed: int = 0,
     name: str = "cnn",
 ) -> ModelSpec:
-    """Conv blocks (conv-relu-pool-dropout) followed by dense-relu-dropout
-    stages and a softmax head."""
+    """Conv blocks (conv-relu-2x2 max pool-dropout) followed by
+    dense-relu-dropout stages and a softmax head."""
     rng = np.random.default_rng(seed)
     layers: list[LayerSpec] = []
     c, h, w = input_shape
@@ -739,11 +749,11 @@ def cnn_classifier(
         kernel = _he_uniform(rng, (out_c, c, kernel_size, kernel_size), fan_in)
         layers.append(Conv2DSpec(kernel, np.zeros(out_c), padding="same"))
         layers.append(ReluSpec())
-        layers.append(MaxPool2DSpec(pool_size))
+        layers.append(MaxPool2DSpec(2))
         if dropout_rate:
             layers.append(DropoutSpec(dropout_rate))
         c = out_c
-        h, w = h // pool_size, w // pool_size
+        h, w = h // 2, w // 2
     layers.append(FlattenSpec())
     layers += _dense_stages(rng, c * h * w, dense_units, n_classes, dropout_rate)
     layers.append(SoftmaxSpec())

@@ -26,6 +26,8 @@ from .network import (
     ModelMeta,
     ModelSpec,
     MomentPropagation,
+    _check_seed,
+    _python_number,
     forward_mp,
     predict,
 )
@@ -51,6 +53,8 @@ class LrReduction:
     min_lr: float = 1e-6
 
     def __post_init__(self):
+        for name in ("patience", "factor", "min_lr"):
+            setattr(self, name, _python_number(getattr(self, name)))
         if not _positive_sizes((self.patience,)):
             raise ValueError(f"lr patience must be an integer >= 1, got {self.patience!r}")
         if not (_finite(self.factor) and 0.0 < self.factor < 1.0):
@@ -64,6 +68,7 @@ class EarlyStopping:
     patience: int = 10
 
     def __post_init__(self):
+        self.patience = _python_number(self.patience)
         if not _positive_sizes((self.patience,)):
             raise ValueError(
                 f"early-stopping patience must be an integer >= 1, got {self.patience!r}"
@@ -84,6 +89,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy scalars become Python numbers, which the digest's JSON holds
+        for name in ("epochs", "batch_size", "learning_rate", "momentum"):
+            setattr(self, name, _python_number(getattr(self, name)))
+        if self.dropout_rates is not None:
+            self.dropout_rates = tuple(map(_python_number, self.dropout_rates))
+        self.seed = _check_seed(self.seed)
         if not _positive_sizes((self.epochs, self.batch_size)):
             raise ValueError(
                 f"epochs and batch_size must be integers >= 1, "
@@ -243,7 +254,7 @@ def draw_masks_for(model: ModelSpec, params, x_shape, seed: int = 0):
 
 
 class _Sgd:
-    def __init__(self, params, lr, momentum=0.0):
+    def __init__(self, params, momentum):
         self.momentum = momentum
         self.velocity = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
 
@@ -257,22 +268,25 @@ class _Sgd:
                     p[k] -= lr * g[k]
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params):
         self.t = 0
         self.m = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
         self.v = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
 
     def step(self, params, grads, lr):
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - _BETA1**self.t
+        c2 = 1.0 - _BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
             for k in p:
-                m[k] = self.beta1 * m[k] + (1.0 - self.beta1) * g[k]
-                v[k] = self.beta2 * v[k] + (1.0 - self.beta2) * np.square(g[k])
-                p[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + self.eps)
+                m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * g[k]
+                v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * np.square(g[k])
+                p[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + _EPS)
 
 
 def _val_loss(model, params, cfg, x_val, y_val):
@@ -311,11 +325,7 @@ def train(model: ModelSpec, data: Dataset, cfg: TrainConfig) -> tuple[ModelSpec,
     layers = _train_layers(model)
     params = extract_params(model)
     rng = np.random.default_rng(cfg.seed)
-    opt = (
-        _Adam(params, cfg.learning_rate)
-        if cfg.optimizer == "adam"
-        else _Sgd(params, cfg.learning_rate, cfg.momentum)
-    )
+    opt = _Adam(params) if cfg.optimizer == "adam" else _Sgd(params, cfg.momentum)
     loss_fn = _loss_fn(cfg.loss)
     lr = cfg.learning_rate
     best_val = np.inf

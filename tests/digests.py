@@ -4,10 +4,16 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/digests.py
 
-It prints one ``<sha256>  <item>`` line per item, in six groups, each
-followed by one line over the group's lines.  A change that promises
-bitwise-unchanged outputs prints the same lines before and after it.
-pytest does not collect this file.
+It prints a header of ``#`` lines that names the numpy, scipy and BLAS
+build, then one ``<sha256>  <item>`` line per item, in six groups, each
+followed by one line over the group's lines.  ``tests/digests.golden`` holds
+that output; ``tests/test_digests.py`` recomputes the lines in-process and
+names each one that differs from it.  A change that means to move seeded
+outputs regenerates the file with
+
+    PYTHONPATH=src python tests/digests.py > tests/digests.golden
+
+and names each changed line.  pytest does not collect this file.
 
 The first group, whose last line is ``all``:
 
@@ -67,10 +73,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 from click.testing import CliRunner
 
 from momentprop import data, experiments, mc, network, training
@@ -298,7 +306,19 @@ def model_file_items():
                 saved + path.read_bytes()).hexdigest()
 
 
-def main():
+def build() -> list[str]:
+    """The header: the builds the lines depend on, one ``#`` line each."""
+    def blas(config):
+        return config["Build Dependencies"]["blas"]["openblas configuration"]
+    return [
+        f"# numpy {np.__version__}, BLAS {blas(np.show_config(mode='dicts'))}",
+        f"# scipy {scipy.__version__}, BLAS {blas(scipy.show_config(mode='dicts'))}",
+        f"# machine {platform.machine()}",
+    ]
+
+
+def lines():
+    """Every digest line, each group closed by a line over its lines."""
     groups = ((items(), "all"),
               (predict_and_protocol_items(), "all predict and protocols"),
               (compare_toy_and_uci_items(), "all compare, toy and uci"),
@@ -309,9 +329,16 @@ def main():
         overall = hashlib.sha256()
         for name, hexdigest in group:
             line = f"{hexdigest}  {name}"
-            print(line, flush=True)
+            yield line
             overall.update(line.encode() + b"\n")
-        print(f"{overall.hexdigest()}  {label}", flush=True)
+        yield f"{overall.hexdigest()}  {label}"
+
+
+def main():
+    for line in build():
+        print(line, flush=True)
+    for line in lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -421,6 +421,39 @@ class TestInputShapes:
         if detail.startswith("shape"):
             assert "input shape (3,)" in result.output
 
+    # read as the csv dataset kind reads its file: a malformed cell or row is
+    # named by line, and quoted cells are numbers
+    CSV = {
+        "ragged.csv": ("x0,x1,x2\n0.1,0.2,0.3\n0.4,0.5\n", "ragged.csv:3: expected 3 cells, got 2"),
+        "blank-line.csv": ("x0,x1,x2\n0.1,0.2,0.3\n\n0.4,0.5,0.6\n",
+                           "blank-line.csv:3: expected 3 cells, got 0"),
+        "empty-cell.csv": ("x0,x1,x2\n0.1,,0.3\n",
+                           "empty-cell.csv:2: missing value in column 'x1'"),
+        "quoted.csv": ('"x0","x1","x2"\n"0.1","0.2","0.3"\n', None),
+    }
+
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    @pytest.mark.parametrize("name", sorted(CSV))
+    def test_csv_input_read_as_the_csv_dataset_kind(self, runner, mlp3_path, tmp_path, command,
+                                                    name):
+        content, detail = self.CSV[name]
+        path = tmp_path / name
+        path.write_text(content)
+        out = tmp_path / "o"
+        result = self.invoke(runner, command, mlp3_path, out, "--input", str(path))
+        if detail is not None:
+            assert result.exit_code == 3, result.output
+            assert detail in result.output and "Traceback" not in result.output
+            return
+        assert result.exit_code == 0, result.output
+        npy = tmp_path / "same.npy"
+        np.save(npy, np.array([[0.1, 0.2, 0.3]]))
+        assert self.invoke(runner, command, mlp3_path, tmp_path / "n", "--input",
+                           str(npy)).exit_code == 0
+        tables = sorted(p.name for p in out.glob("*.csv"))
+        assert tables and all((out / t).read_bytes() == (tmp_path / "n" / t).read_bytes()
+                              for t in tables)
+
     @pytest.mark.parametrize("command, table", [("predict", "predictions.csv"),
                                                 ("compare", "per_example.csv")])
     def test_one_example_is_a_batch_of_one(self, runner, mlp3_path, tmp_path, command, table):
@@ -584,6 +617,67 @@ class TestExperimentCommands:
         result = runner.invoke(cli, ["--out", str(tmp_path / "toy"), "--config", str(cfg),
                                      "experiment", "toy"])
         assert result.exit_code == 4, result.output
+
+
+_OOD_SETUP_KEYS = {"batch_size", "conv_channels", "data_seed", "dense_units", "dropout_rate",
+                   "ensemble_size", "epochs", "image_size", "ind_classes", "learning_rate",
+                   "n_classes", "n_per_class", "seeds", "split_fractions", "threads"}
+
+
+class TestAcceptedKeys:
+    """Each config section takes exactly these keys: an unknown key's data
+    error lists them ("it takes ...")."""
+
+    @pytest.mark.parametrize("base, path, keys", [
+        ("mlp", (), {"dataset", "model", "model_out", "name", "seed", "train"}),
+        ("mlp", ("dataset",), {"kind", "n", "noise_sigma", "seed", "x_range"}),
+        ("csv", ("dataset",), {"kind", "path", "seed", "split_fractions", "target_column"}),
+        ("cnn", ("dataset",), {"ind_classes", "kind", "n_classes", "n_per_class", "noise_sigma",
+                               "seed", "size", "split_fractions"}),
+        ("cifar10", ("dataset",), {"kind", "path"}),
+        ("mlp", ("model",), {"dropout_rate", "hidden", "kind", "name", "seed", "tau"}),
+        ("cnn", ("model",), {"conv_channels", "dense_units", "dropout_rate", "kernel_size",
+                             "kind", "name", "seed"}),
+        ("mlp", ("train",), {"batch_size", "dropout_rates", "early_stopping", "epochs",
+                             "learning_rate", "loss", "lr_reduction", "momentum", "optimizer",
+                             "seed"}),
+        ("mlp", ("train", "lr_reduction"), {"factor", "min_lr", "patience"}),
+        ("mlp", ("train", "early_stopping"), {"patience"}),
+    ], ids=["top-level", "toy", "csv", "synthetic_images", "cifar10", "mlp", "cnn", "train",
+            "lr_reduction", "early_stopping"])
+    def test_train_config_keys(self, runner, tmp_path, base, path, keys):
+        cfg = copy.deepcopy(TestTrainCommand.BASES["cnn" if base == "cnn" else "mlp"])
+        if base in ("csv", "cifar10"):  # the unknown key is refused before the path is read
+            cfg["dataset"] = {"kind": base}
+        node = cfg
+        for name in path:
+            node = node.setdefault(name, {})
+        node["no_such_key"] = 1
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        result = runner.invoke(cli, ["--out", str(tmp_path / "o"), "train", str(config)])
+        assert result.exit_code == 3, result.output
+        assert f"(it takes {', '.join(sorted(keys))})" in result.output
+
+    @pytest.mark.parametrize("command, over, keys", [
+        ("toy", {}, {"batch_size", "data_seed", "dropout_rate", "epochs", "hidden",
+                     "learning_rate", "n", "seed", "t", "tau"}),
+        ("uci", {}, {"datasets", "epochs", "hidden", "p_grid", "seed", "t_mc", "tau_grid",
+                     "threads", "timing_repeats"}),
+        ("uci", {"datasets": [{"no_such_key": 1}]}, {"name", "path", "target_column"}),
+        ("ood", {}, _OOD_SETUP_KEYS | {"t"}),
+        ("filter", {}, _OOD_SETUP_KEYS | {"kind", "t"}),
+        ("auc-vs-t", {}, _OOD_SETUP_KEYS | {"repeats", "seed", "t_list"}),
+    ], ids=["toy", "uci", "uci-dataset", "ood", "filter", "auc_vs_t"])
+    def test_experiment_config_keys(self, runner, tmp_path, command, over, keys):
+        section = command.replace("-", "_")
+        cfg = tmp_path / "over.json"
+        cfg.write_text(json.dumps({section: over or {"no_such_key": 1}}))
+        result = runner.invoke(cli, ["--out", str(tmp_path / "run"), "--config", str(cfg),
+                                     "experiment", command])
+        assert result.exit_code == 3, result.output
+        assert f"bad {section!r} config" in result.output
+        assert f"(it takes {', '.join(sorted(keys))})" in result.output
 
 
 class TestBenchmarkCommand:

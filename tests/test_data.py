@@ -33,7 +33,7 @@ class TestToyRegression:
         assert np.array_equal(a.split, b.split)
 
     def test_noise_variance(self):
-        ds = gen_toy_regression(100_000, seed=2, test_points=10)
+        ds = gen_toy_regression(100_000, seed=2)
         mask = ds.split != "test"
         resid = ds.targets[mask] - toy_target(ds.features[mask, 0])
         assert resid.var() == pytest.approx(0.01, rel=0.05)
@@ -53,10 +53,14 @@ class TestCsvRegression:
     def test_exact_parse(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("a,b,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
-        ds = load_csv_regression(path, "y", split_fractions=(1.0, 0.0, 0.0),
-                                 seed=0, standardize=False)
+        ds = load_csv_regression(path, "y", split_fractions=(1.0, 0.0, 0.0), seed=0)
+        # the raw values, through the standardization record
+        rec = ds.standardization
+        assert list(rec.feature_mean) == [4.0, 5.0] and rec.target_mean == 6.0
+        raw = {(1.0, 2.0): 3.0, (4.0, 5.0): 6.0, (7.0, 8.0): 9.0}
         rows = {tuple(f): t for f, t in zip(ds.features, ds.targets)}
-        assert rows == {(1.0, 2.0): 3.0, (4.0, 5.0): 6.0, (7.0, 8.0): 9.0}
+        assert rows == {tuple((np.array(f) - rec.feature_mean) / rec.feature_std):
+                        (t - rec.target_mean) / rec.target_std for f, t in raw.items()}
 
     def test_split_sizes(self, tmp_path):
         x, y = gen_tabular_regression(100, seed=1)
@@ -69,13 +73,14 @@ class TestCsvRegression:
         x, y = gen_tabular_regression(60, seed=2)
         path = tmp_path / "t.csv"
         write_regression_csv(path, x, y)
-        raw = load_csv_regression(path, "y", seed=3, standardize=False)
-        std = load_csv_regression(path, "y", seed=3, standardize=True)
+        std = load_csv_regression(path, "y", seed=3)
+        # the raw values: the CSV's rows in the loader's shuffled order
+        perm = np.random.default_rng(3).permutation(len(y))
         rec = std.standardization
         back_mean, _ = destandardize_mean_var(rec, std.targets, np.zeros_like(std.targets))
-        assert np.allclose(back_mean, raw.targets, atol=1e-12)
+        assert np.allclose(back_mean, y[perm], atol=1e-12)
         back_x = std.features * rec.feature_std + rec.feature_mean
-        assert np.allclose(back_x, raw.features, atol=1e-12)
+        assert np.allclose(back_x, x[perm], atol=1e-12)
 
     def test_train_statistics_only(self, tmp_path):
         x, y = gen_tabular_regression(200, seed=4)

@@ -13,6 +13,7 @@ from momentprop.network import (
     ModelChecksumError,
     ModelVersionError,
 )
+from momentprop.training import override_dropout
 from oracles import per_layer
 
 
@@ -318,6 +319,37 @@ class TestSerialization:
         # stride=True used to build a model whose saved file load_model refused
         with pytest.raises(ValueError, match="stride"):
             mp.Conv2DSpec(np.ones((2, 1, 3, 3)), np.zeros(2), stride=True)
+
+    @pytest.mark.parametrize("build, python_build", [
+        (lambda: override_dropout(
+            mp.mlp_regression(3, hidden=(4,), dropout_rate=0.1), (0,)),
+         lambda: override_dropout(
+            mp.mlp_regression(3, hidden=(4,), dropout_rate=0.1), (0.0,))),
+        (lambda: mp.mlp_regression(3, hidden=(4,), dropout_rate=np.float32(0.25)),
+         lambda: mp.mlp_regression(3, hidden=(4,), dropout_rate=0.25)),
+        (lambda: mp.mlp_regression(3, hidden=(4,), seed=np.int64(2)),
+         lambda: mp.mlp_regression(3, hidden=(4,), seed=2)),
+        (lambda: mp.mlp_regression(3, hidden=(4,), tau=np.float32(2)),
+         lambda: mp.mlp_regression(3, hidden=(4,), tau=2.0)),
+    ], ids=["int-rate-0", "float32-rate", "int64-seed", "float32-tau"])
+    def test_numbers_saved_as_python_floats_and_ints(self, tmp_path, build, python_build):
+        # an int rate used to save as "rate":0 and load back as 0.0, so
+        # save -> load -> save changed the bytes; a numpy scalar rate, seed
+        # or tau made save_model raise json's TypeError
+        p1, p2, p3 = (tmp_path / f"{k}.mpmdl" for k in "abc")
+        mp.save_model(build(), p1)
+        mp.save_model(mp.load_model(p1), p2)
+        mp.save_model(python_build(), p3)
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: mp.DropoutSpec(False),
+        lambda: mp.DropoutSpec(np.bool_(False)),
+        lambda: mp.mlp_regression(3, hidden=(4,), tau=True),
+    ], ids=["rate-False", "rate-numpy-False", "tau-True"])
+    def test_bool_rate_or_tau_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_truncated_file_fails_checksum(self, tmp_path):
         model = small_regressor()

@@ -411,7 +411,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         params = extract_params(size3_pool_model(rng))
         ref_params = [{k: v.copy() for k, v in p.items()} for p in params]
-        opt = training._Adam(params, 1e-3)
+        opt = training._Adam(params)
         state = {"t": 0, "m": [{k: np.zeros_like(v) for k, v in p.items()} for p in params],
                  "v": [{k: np.zeros_like(v) for k, v in p.items()} for p in params]}
         for step in range(6):
@@ -462,7 +462,7 @@ class TestTrain:
         assert b == pytest.approx(intercept, abs=1e-2)
 
     def test_toy_reaches_noise_floor(self):
-        data = standardize_regression(gen_toy_regression(512, seed=3, test_points=16))
+        data = standardize_regression(gen_toy_regression(512, seed=3))
         model = mp.mlp_regression(1, hidden=(64, 64), dropout_rate=0.1, seed=0, tau=100.0)
         cfg = TrainConfig(epochs=300, batch_size=64, loss="mse",
                           early_stopping=None, lr_reduction=None, seed=0)
@@ -482,7 +482,7 @@ class TestTrain:
         assert acc >= 0.99
 
     def test_best_beats_init_across_seeds(self):
-        data = standardize_regression(gen_toy_regression(256, seed=5, test_points=8))
+        data = standardize_regression(gen_toy_regression(256, seed=5))
         wins = 0
         for seed in range(10):
             model = mp.mlp_regression(1, hidden=(16,), dropout_rate=0.1, seed=seed, tau=1.0)
@@ -496,7 +496,7 @@ class TestTrain:
         assert wins >= 9
 
     def test_early_stopping_halts_within_patience(self):
-        data = standardize_regression(gen_toy_regression(128, seed=6, test_points=8))
+        data = standardize_regression(gen_toy_regression(128, seed=6))
         model = mp.mlp_regression(1, hidden=(8,), dropout_rate=0.3, seed=1, tau=1.0)
         cfg = TrainConfig(epochs=300, batch_size=32, loss="mse", learning_rate=0.05,
                           early_stopping=EarlyStopping(patience=7),
@@ -507,7 +507,7 @@ class TestTrain:
         assert len(report.val_loss) == report.epochs_run
 
     def test_lr_plateau_reduces(self):
-        data = standardize_regression(gen_toy_regression(128, seed=7, test_points=8))
+        data = standardize_regression(gen_toy_regression(128, seed=7))
         model = mp.mlp_regression(1, hidden=(8,), dropout_rate=0.2, seed=2, tau=1.0)
         cfg = TrainConfig(epochs=60, batch_size=32, loss="mse", learning_rate=0.05,
                           early_stopping=None,
@@ -575,6 +575,7 @@ class TestTrainConfig:
         (LrReduction, "min_lr", float("nan")),
         (EarlyStopping, "patience", 0),
         (EarlyStopping, "patience", 2.5),
+        (TrainConfig, "seed", -1),
     ], ids=lambda v: getattr(v, "__name__", str(v)))
     def test_refuses_bad_fields(self, cls, name, value):
         """Each field is checked where the config is built, before train()
@@ -582,6 +583,25 @@ class TestTrainConfig:
         kwargs = {"epochs": 1} if cls is TrainConfig else {}
         with pytest.raises(ValueError):
             cls(**{**kwargs, name: value})
+
+    @pytest.mark.parametrize("numpy_kw, python_kw", [
+        ({"epochs": np.int64(2)}, {"epochs": 2}),
+        ({"epochs": 2, "seed": np.int64(4)}, {"epochs": 2, "seed": 4}),
+        ({"epochs": 2, "lr_reduction": LrReduction(factor=np.float32(0.5))},
+         {"epochs": 2, "lr_reduction": LrReduction(factor=0.5)}),
+    ], ids=["int64-epochs", "int64-seed", "float32-factor"])
+    def test_numpy_scalars_train_as_python_numbers(self, tmp_path, numpy_kw, python_kw):
+        # train() used to run one epoch, then raise json's TypeError from the
+        # config digest
+        data = standardize_regression(gen_toy_regression(64, seed=1))
+        model = mp.mlp_regression(1, hidden=(4,), seed=0, tau=1.0)
+        paths = []
+        for kw in (numpy_kw, python_kw):
+            trained, report = train(model, data, TrainConfig(**kw))
+            assert report.epochs_run == 2
+            paths.append(tmp_path / f"{len(paths)}.mpmdl")
+            mp.save_model(trained, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestGridSearch:
